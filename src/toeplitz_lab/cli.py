@@ -45,9 +45,10 @@ def _emit_json(payload, out_path):
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("TOEPLITZ_LAB_SEED", "0"))
+    text = os.environ.get("TOEPLITZ_LAB_SEED", "0") if args.seed is None else str(args.seed)
+    if not text.strip().isdecimal():
+        raise InvalidParameters(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def cmd_bounds(args) -> int:
@@ -61,6 +62,9 @@ def cmd_verify(args) -> int:
     phi = parse_family(args.family)
     if args.order < JET_ORDER:
         raise InvalidParameters(f"--order must be >= {JET_ORDER}, got {args.order}")
+    if args.samples < 0 or not args.tol >= 0:
+        raise InvalidParameters(
+            f"need --samples >= 0 and --tol >= 0, got {args.samples} and {args.tol}")
     theorems = ("t22", "t31") if args.theorem == "both" else (args.theorem,)
     cond = {"t22": condition_t22, "t31": condition_t31}
     for t in theorems:
@@ -71,10 +75,8 @@ def cmd_verify(args) -> int:
     payload = {}
     try:
         for t in theorems:
-            rep = sp.montecarlo_verify(
-                phi, args.samples, _seed(args), theorem=t,
-                order=args.order, tol=args.tol or sp.SAMPLE_TOL,
-            )
+            rep = sp.montecarlo_verify(phi, args.samples, _seed(args), theorem=t,
+                                       order=args.order, tol=args.tol)
             payload[t] = rep.to_json_dict()
     except sp.BoundViolated as exc:
         print(f"violation: {exc}", file=sys.stderr)
@@ -85,8 +87,10 @@ def cmd_verify(args) -> int:
 
 def cmd_sharpness(args) -> int:
     phi = parse_family(args.family)
+    if args.grid < sp.MIN_GRID:
+        raise InvalidParameters(f"--grid must be >= {sp.MIN_GRID}, got {args.grid}")
     try:
-        cert = ex.certify(phi, args.order)
+        cert = ex.certify(phi)
     except ex.CertificationFailed as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -109,8 +113,11 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_table(args) -> int:
-    name, start, stop, step = args.sweep.split(":")
-    start, stop, step = float(start), float(stop), float(step)
+    try:
+        name, start, stop, step = args.sweep.split(":")
+        start, stop, step = float(start), float(stop), float(step)
+    except ValueError:
+        raise InvalidParameters(f"bad sweep spec {args.sweep!r}") from None
     if name not in ("alpha", "power"):
         raise InvalidParameters(f"sweep supports alpha/power, got {name!r}")
     buf = io.StringIO()
@@ -133,9 +140,17 @@ def cmd_table(args) -> int:
 
 def cmd_highdim(args) -> int:
     phi = parse_family(args.family)
+    if args.n < 1 or args.samples < 0:
+        raise InvalidParameters(
+            f"need --n >= 1 and --samples >= 0, got {args.n} and {args.samples}")
+    try:
+        radii = [float(r) for r in args.r.split(",")]
+    except ValueError:
+        raise InvalidParameters(f"bad radius list {args.r!r}") from None
+    if not all(0 < r < 1 for r in radii):
+        raise InvalidParameters(f"--r radii must lie in (0, 1), got {args.r!r}")
     rng = np.random.default_rng(_seed(args))
-    radii = [float(r) for r in args.r.split(",")]
-    h_ext = hd.extremal_lift(phi, args.order)
+    h_ext = hd.extremal_lift(phi)
     runs = []
     try:
         for r in radii:
@@ -147,7 +162,7 @@ def cmd_highdim(args) -> int:
             runs.append(hd.verify_ball(phi, h_ext, z_axis, direction=u).to_json_dict())
         for _ in range(args.samples):
             w = sp.sample_words(1, int(rng.integers(0, 2**63)))[0]
-            h = hd.lift_from_class_member(sp.g_from_schwarz(phi, w, args.order))
+            h = hd.lift_from_class_member(sp.g_from_schwarz(phi, w))
             z = hd.random_interior_point(rng, args.n, args.norm)
             if args.norm == hd.SUP:
                 runs.append(hd.verify_polydisc(phi, h, z).to_json_dict())
@@ -164,9 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="toeplitz-lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, order=16):
+    def common(p):
         p.add_argument("--family", required=True)
-        p.add_argument("--order", type=int, default=order)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
 
@@ -175,10 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs-lambda", type=float, nargs="*", default=None)
 
     p = sub.add_parser("verify", help="Monte-Carlo bound verification")
-    common(p, order=JET_ORDER)  # montecarlo_verify's default
+    common(p)
+    p.add_argument("--order", type=int, default=JET_ORDER)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--theorem", choices=["t22", "t31", "both"], default="both")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=sp.SAMPLE_TOL)
 
     p = sub.add_parser("sharpness", help="extremal certificate + grid oracle")
     common(p)

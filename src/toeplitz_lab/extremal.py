@@ -25,7 +25,7 @@ class CertificationFailed(AssertionError):
         self.gaps = gaps
 
 
-def extremal_g(phi: PhiSpec, order: int = se.DEFAULT_ORDER) -> Series:
+def extremal_g(phi: PhiSpec, order: int = JET_ORDER) -> Series:
     """z exp(integral of (Phi(it) - 1)/t dt) as a truncated series."""
     ps = phi_series(phi, order)
     rotated = Series(tuple(c * (1j**k) for k, c in enumerate(ps.coeffs)))
@@ -62,15 +62,14 @@ class ExtremalCertificate:
         }
 
 
-def certify(phi: PhiSpec, order: int = se.DEFAULT_ORDER) -> ExtremalCertificate:
+def certify(phi: PhiSpec) -> ExtremalCertificate:
     """Check that the extremal function attains each applicable bound.
 
     Raises :class:`CertificationFailed` when a gap exceeds 1e-10 for a
     bound whose condition holds.
     """
     jet = jet2(phi)
-    g = extremal_g(phi, max(order, JET_ORDER))
-    cj = coeff_jet(g)
+    cj = coeff_jet(extremal_g(phi))
     c22, c31 = condition_t22(phi), condition_t31(phi)
     a22, b22 = abs(det_t22(cj)), t22_bound(jet)
     a31, b31 = abs(det_t31(cj)), t31_bound(jet)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import series as se
 from .bounds import t22_bound, t31_bound
+from .extremal import extremal_g
 from .phi import PhiSpec, condition_t22, condition_t31, jet2
 from .sampler import BoundViolated
 from .series import Series
@@ -113,8 +113,9 @@ def homogeneous_terms(h: Series, z: NormedPoint, direction=None) -> HomogeneousT
     """
     if abs(h.coeffs[0] - 1) > 1e-12:
         raise ValueError("h must satisfy h(0) = 1")
-    h1 = h.coeffs[1] if h.order >= 1 else 0j
-    h2 = h.coeffs[2] if h.order >= 2 else 0j
+    if h.order < 2:
+        raise ValueError(f"h needs coefficients up to w^2, got order {h.order}")
+    h1, h2 = h.coeffs[1], h.coeffs[2]
     ell = _ell(z, direction)
     zv = np.asarray(z.coords)
     return HomogeneousTerms(
@@ -249,11 +250,9 @@ def lift_from_class_member(g: Series) -> Series:
     return Series(g.coeffs[1:])
 
 
-def extremal_lift(phi: PhiSpec, order: int = se.DEFAULT_ORDER) -> Series:
-    """The lift of the one-variable extremal function."""
-    from .extremal import extremal_g
-
-    return lift_from_class_member(extremal_g(phi, order))
+def extremal_lift(phi: PhiSpec) -> Series:
+    """The lift of the one-variable extremal function, built at ``JET_ORDER``."""
+    return lift_from_class_member(extremal_g(phi))
 
 
 def random_interior_point(rng, n: int, norm_kind: str) -> NormedPoint:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import series as se
 from .series import Series
+from .toeplitz import JET_ORDER
 
 JET_TOL = 1e-12
 
@@ -121,7 +122,7 @@ def jet2(phi: PhiSpec) -> Jet2:
     raise InvalidParameters(f"unknown family {phi.family!r}")
 
 
-def phi_series(phi: PhiSpec, order: int = se.DEFAULT_ORDER) -> Series:
+def phi_series(phi: PhiSpec, order: int = JET_ORDER) -> Series:
     """Taylor series of Phi at 0 to the given order (constant term 1)."""
     if phi.family == "halfplane":
         # (1+z)/(1-z) = 1 + 2z + 2z^2 + ...

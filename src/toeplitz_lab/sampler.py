@@ -72,7 +72,7 @@ class JetBodyPoint:
             raise ValueError("point outside the Schwarz-Pick body")
 
 
-def omega_series(w: SchwarzWord, order: int = se.DEFAULT_ORDER) -> Series:
+def omega_series(w: SchwarzWord, order: int = JET_ORDER) -> Series:
     out = se.identity(order)
     for _ in range(w.leading_power - 1):
         out = se.shift_mul_z(out)
@@ -83,9 +83,7 @@ def omega_series(w: SchwarzWord, order: int = se.DEFAULT_ORDER) -> Series:
     return w.rotation * out
 
 
-def g_from_schwarz(
-    phi: PhiSpec, w: SchwarzWord, order: int = se.DEFAULT_ORDER
-) -> Series:
+def g_from_schwarz(phi: PhiSpec, w: SchwarzWord, order: int = JET_ORDER) -> Series:
     """Class member with z g'/g = Phi(omega(z)), normalized g(z) = z + ...
 
     Construction: g = z exp(integral of (Phi(omega(t)) - 1)/t dt).
@@ -165,14 +163,18 @@ def _scan(jet, target, r1, th1, th2):
     return best, arg
 
 
+#: least lattice size per axis the oracle scans
+MIN_GRID = 8
+
+
 def oracle_sup(phi: PhiSpec, target, grid: int = 200, refine: bool = True):
     """Supremum of |target| over the Schwarz-Pick 2-jet body by grid scan.
 
     One local refinement pass around the best cell removes most of the
     lattice-resolution bias.  Converges to the sharp bound from below.
     """
-    if grid < 8:
-        raise ValueError("grid must be >= 8")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be >= {MIN_GRID}")
     jet = jet2(phi)
     r1 = np.linspace(0.0, 1.0, grid)
     th1 = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
@@ -236,10 +238,8 @@ def montecarlo_verify(
 ) -> VerificationReport:
     """Sample class members and assert the requested sharp bound.
 
-    Each sample's g is built to truncation ``order``.  The determinants
-    read only (b2, b3), which series arithmetic makes exact from order
-    ``JET_ORDER`` (3) on, so a higher ``order`` changes nothing except
-    cost; an ``order`` below ``JET_ORDER`` is refused with ValueError.
+    Each sample's g is built to truncation ``order``; (b2, b3) are exact
+    from ``JET_ORDER`` on, and a lower ``order`` is refused with ValueError.
 
     Raises :class:`BoundViolated` (carrying the offending word) if any
     sample exceeds bound + tol; a violation is a genuine test failure.

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_ORDER = 16
-
 #: absolute tolerance for coefficient comparisons
 COEFF_TOL = 1e-12
 
@@ -67,18 +65,9 @@ class Series:
     def __add__(self, other):
         return add(self, _coerce(other, self.order))
 
-    def __radd__(self, other):
-        return add(_coerce(other, self.order), self)
-
     def __sub__(self, other):
         o = _coerce(other, self.order)
         return add(self, Series(tuple(-c for c in o.coeffs)))
-
-    def __rsub__(self, other):
-        return _coerce(other, self.order) - self
-
-    def __neg__(self):
-        return Series(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -88,9 +77,6 @@ class Series:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __truediv__(self, other):
-        return div(self, _coerce(other, self.order))
-
 
 def _coerce(x, order: int) -> Series:
     if isinstance(x, Series):
@@ -98,25 +84,22 @@ def _coerce(x, order: int) -> Series:
     return constant(complex(x), order)
 
 
-def constant(value: complex, order: int = DEFAULT_ORDER) -> Series:
+def constant(value: complex, order: int) -> Series:
     c = [complex(value)] + [0j] * order
     return Series(tuple(c))
 
 
-def identity(order: int = DEFAULT_ORDER) -> Series:
+def identity(order: int) -> Series:
     """The series z."""
     c = [0j] * (order + 1)
     c[1] = 1.0 + 0j
     return Series(tuple(c))
 
 
-def from_coeffs(coeffs, order: int | None = None) -> Series:
-    s = Series(tuple(coeffs))
-    if order is not None:
-        if order < s.order:
-            return s.truncate(order)
-        return Series(s.coeffs + (0j,) * (order - s.order))
-    return s
+def from_coeffs(coeffs, order: int) -> Series:
+    """The given coefficients, truncated or zero-padded to ``order``."""
+    s = Series(tuple(coeffs)).truncate(order)
+    return Series(s.coeffs + (0j,) * (order - s.order))
 
 
 def _shared(a: Series, b: Series) -> int:

@@ -133,3 +133,44 @@ def test_verify_order_below_jet_order_exit_2(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("usage error:")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_verify_tol_zero_is_honoured(capsys):
+    code, out = run(capsys, "verify", "--family", "starlike", "--theorem", "t22",
+                    "--samples", "50", "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["t22"]["tol"] == 0.0
+
+
+@pytest.mark.parametrize("argv, env_seed", [
+    (["verify", "--family", "starlike", "--tol", "-1"], None),
+    (["verify", "--family", "starlike", "--tol", "nan"], None),
+    (["verify", "--family", "starlike", "--samples", "-3"], None),
+    (["verify", "--family", "starlike", "--samples", "10", "--seed", "-1"], None),
+    (["verify", "--family", "starlike", "--samples", "10"], "abc"),
+    (["highdim", "--family", "starlike", "--r", "0"], None),
+    (["highdim", "--family", "starlike", "--r", "1.5"], None),
+    (["highdim", "--family", "starlike", "--r", "0.5,x"], None),
+    (["highdim", "--family", "starlike", "--n", "0"], None),
+    (["highdim", "--family", "starlike", "--samples", "-3"], None),
+    (["highdim", "--family", "starlike", "--seed", "-1"], None),
+    (["sharpness", "--family", "starlike", "--grid", "4"], None),
+    (["table", "--sweep", "alpha:0:1"], None),
+], ids=["tol-neg", "tol-nan", "samples-neg", "seed-neg", "env-seed-abc", "r-zero",
+        "r-above-1", "r-not-number", "n-zero", "highdim-samples-neg", "highdim-seed-neg",
+        "grid-4", "sweep-short"])
+def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, argv, env_seed):
+    if env_seed is not None:
+        monkeypatch.setenv("TOEPLITZ_LAB_SEED", env_seed)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["bounds", "sharpness", "highdim"])
+def test_order_is_rejected_outside_verify(command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--family", "starlike", "--order", "16"])
+    assert err.value.code == 2

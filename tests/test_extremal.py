@@ -51,6 +51,13 @@ def test_certify_gaps_small_where_conditions_hold():
             assert cert.gap_t31 < 1e-10
 
 
+def test_certify_jet_matches_order_16():
+    for phi in (tl.halfplane(), tl.alpha(0.3), tl.alpha(0.5), tl.power(0.5),
+                tl.power(0.9), tl.janowski(0.8, -0.6)):
+        cert = tl.certify(phi)
+        assert tl.CoeffJet(cert.b2, cert.b3) == tl.coeff_jet(tl.extremal_g(phi, 16))
+
+
 def test_extremal_is_subordinate():
     for phi in (tl.halfplane(), tl.alpha(0.4), tl.power(0.6)):
         g = tl.extremal_g(phi, 48)

@@ -62,6 +62,12 @@ def test_homogeneous_terms_extremal_example():
     assert np.allclose(terms.b2sq_vec, [-4 * r**3, 0])
 
 
+def test_homogeneous_terms_refuse_short_lift():
+    z = hd.NormedPoint((0.4, 0.3), "sup")
+    with pytest.raises(ValueError, match="w\\^2"):
+        tl.homogeneous_terms(tl.Series((1, 2j)), z)
+
+
 def test_homogeneous_terms_identity_mapping():
     one = se.constant(1, 4)
     z = hd.NormedPoint((0.4, 0.3), "sup")
@@ -205,3 +211,22 @@ def test_n1_reduction_matches_1d_jet():
     rep = tl.verify_ball(HP, h, z)
     assert rep.rhs_t22 == tl.t22_bound(tl.jet2(HP))
     assert rep.rhs_t31 == tl.t31_bound(tl.jet2(HP))
+
+
+def test_default_lift_reports_match_order_16():
+    # (h1, h2) are exact from JET_ORDER on, so the default changes only cost
+    families = (HP, tl.alpha(0.3), tl.alpha(0.5), tl.power(0.5), tl.power(0.9),
+                tl.janowski(0.8, -0.6))
+    rng = np.random.default_rng(65)
+    for phi in families:
+        lo = hd.extremal_lift(phi)
+        hi = hd.lift_from_class_member(tl.extremal_g(phi, 16))
+        for n in (2, 3):
+            for kind in ("sup", "euclid"):
+                for z in (hd.NormedPoint((0.6,) + (0j,) * (n - 1), kind),
+                          hd.random_interior_point(rng, n, kind)):
+                    assert (tl.verify_ball(phi, lo, z).to_json_dict()
+                            == tl.verify_ball(phi, hi, z).to_json_dict())
+                    if kind == "sup":
+                        assert (tl.verify_polydisc(phi, lo, z).to_json_dict()
+                                == tl.verify_polydisc(phi, hi, z).to_json_dict())
