@@ -22,6 +22,7 @@ from . import extremal as ex
 from . import highdim as hd
 from . import sampler as sp
 from .phi import InvalidParameters, condition_t22, condition_t31, parse_family
+from .series import Series
 from .toeplitz import JET_ORDER
 
 EXIT_OK = 0
@@ -160,9 +161,9 @@ def cmd_highdim(args) -> int:
             u = np.zeros(args.n, dtype=complex)
             u[0] = 1.0
             runs.append(hd.verify_ball(phi, h_ext, z_axis, direction=u).to_json_dict())
-        for _ in range(args.samples):
-            w = sp.sample_words(1, int(rng.integers(0, 2**63)))[0]
-            h = hd.lift_from_class_member(sp.g_from_schwarz(phi, w))
+        words = sp.sample_words(args.samples, int(rng.integers(0, 2**63)))
+        for g in sp.class_members(phi, words):
+            h = hd.lift_from_class_member(Series(g))
             z = hd.random_interior_point(rng, args.n, args.norm)
             if args.norm == hd.SUP:
                 runs.append(hd.verify_polydisc(phi, h, z).to_json_dict())

@@ -27,7 +27,7 @@ from . import series as se
 from .bounds import fekete_szego_bound, t22_bound, t31_bound
 from .phi import PhiSpec, condition_t22, condition_t31, jet2, phi_series
 from .series import Series
-from .toeplitz import JET_ORDER, coeff_jet, det_t22, det_t31
+from .toeplitz import JET_ORDER, CoeffJet, det_t22, det_t31
 
 
 class BoundViolated(AssertionError):
@@ -72,15 +72,70 @@ class JetBodyPoint:
             raise ValueError("point outside the Schwarz-Pick body")
 
 
+@dataclass(frozen=True)
+class _WordBatch:
+    """Schwarz words as arrays: slot j of row i is a factor iff j < nfac[i]."""
+
+    rotation: np.ndarray  # (B,) unit complex
+    factors: np.ndarray  # (B, F), 0 in unused slots
+    nfac: np.ndarray  # (B,)
+    power: np.ndarray  # (B,)
+
+    @classmethod
+    def of(cls, words) -> "_WordBatch":
+        width = max((len(w.factors) for w in words), default=0)
+        factors = np.zeros((len(words), width), dtype=complex)
+        for i, w in enumerate(words):
+            factors[i, : len(w.factors)] = w.factors
+        return cls(
+            np.array([w.rotation for w in words], dtype=complex),
+            factors,
+            np.array([len(w.factors) for w in words], dtype=int),
+            np.array([w.leading_power for w in words], dtype=int),
+        )
+
+    def word(self, i: int) -> SchwarzWord:
+        return SchwarzWord(
+            complex(self.rotation[i]),
+            tuple(complex(a) for a in self.factors[i, : self.nfac[i]]),
+            int(self.power[i]),
+        )
+
+
+def _omega_coeffs(words: _WordBatch, order: int):
+    """(B, order+1) Taylor coefficients of every word's omega."""
+    out = (np.arange(order + 1) == words.power[:, None]).astype(complex)
+    num = np.zeros_like(out)
+    den = np.zeros_like(out)
+    den[:, 0] = 1.0
+    for j in range(words.factors.shape[1]):
+        a, used = words.factors[:, j], j < words.nfac
+        # (z + a)/(1 + conj(a) z) where the slot is used, 1/1 where it is not
+        num[:, 0] = np.where(used, a, 1.0)
+        num[:, 1] = used
+        den[:, 1] = np.conj(a)
+        out = se.mul_coeffs(out, se.div_coeffs(num, den))
+    return words.rotation[:, None] * out
+
+
+def _class_member_coeffs(phi_coeffs, words: _WordBatch, order: int):
+    """(B, order+1) coefficients of g = z exp(int (Phi(omega(t)) - 1)/t dt)."""
+    big_g = se.compose_coeffs(phi_coeffs, _omega_coeffs(words, order))
+    big_g[:, 0] -= 1
+    return se.shift_mul_z_coeffs(se.exp_coeffs(se.integrate_div_t_coeffs(big_g)))
+
+
+def class_members(phi: PhiSpec, words, order: int = JET_ORDER):
+    """``g_from_schwarz(phi, w, order)`` for every word, in one batched pass.
+
+    Returns the coefficients as a complex array of shape (len(words), order+1).
+    """
+    phi_coeffs = np.asarray(phi_series(phi, order).coeffs)
+    return _class_member_coeffs(phi_coeffs, _WordBatch.of(words), order)
+
+
 def omega_series(w: SchwarzWord, order: int = JET_ORDER) -> Series:
-    out = se.identity(order)
-    for _ in range(w.leading_power - 1):
-        out = se.shift_mul_z(out)
-    for a in w.factors:
-        num = Series((a,) + (1.0,) + (0j,) * (order - 1))
-        den = Series((1.0,) + (np.conj(a),) + (0j,) * (order - 1))
-        out = se.mul(out, se.div(num, den))
-    return w.rotation * out
+    return Series(_omega_coeffs(_WordBatch.of([w]), order)[0])
 
 
 def g_from_schwarz(phi: PhiSpec, w: SchwarzWord, order: int = JET_ORDER) -> Series:
@@ -88,9 +143,30 @@ def g_from_schwarz(phi: PhiSpec, w: SchwarzWord, order: int = JET_ORDER) -> Seri
 
     Construction: g = z exp(integral of (Phi(omega(t)) - 1)/t dt).
     """
-    om = omega_series(w, order)
-    big_g = se.compose(phi_series(phi, order), om)
-    return se.shift_mul_z(se.exp_series(se.integrate_div_t(big_g - 1)))
+    return Series(class_members(phi, [w], order)[0])
+
+
+#: words per block of the batched sampler; bounds memory for any sample count
+BLOCK = 1024
+
+
+def _word_blocks(count: int, seed: int, max_factors: int):
+    """The words of ``sample_words(count, seed, max_factors)``, in blocks.
+
+    Word i is made from uniforms i*K .. i*K + K-1 of the seeded stream,
+    K = 3 + 2*max_factors, so it depends on the seed and i alone.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, BLOCK):
+        u = rng.random((min(BLOCK, count - start), 3 + 2 * max_factors))
+        nfac = np.minimum((u[:, 1] * (max_factors + 1)).astype(int), max_factors)
+        factors = np.sqrt(u[:, 3::2]) * np.exp(2j * math.pi * u[:, 4::2])
+        yield _WordBatch(
+            rotation=np.exp(2j * math.pi * u[:, 0]),
+            factors=np.where(np.arange(max_factors) < nfac[:, None], factors, 0),
+            nfac=nfac,
+            power=1 + np.minimum((u[:, 2] * 3).astype(int), 2),
+        )
 
 
 def sample_words(count: int, seed: int, max_factors: int = 2) -> list:
@@ -98,21 +174,10 @@ def sample_words(count: int, seed: int, max_factors: int = 2) -> list:
 
     Rotation phase uniform, factor count uniform on 0..max_factors,
     factor parameters area-uniform in the disk (radius = sqrt(uniform)),
-    leading power uniform on {1, 2, 3}.
+    leading power uniform on {1, 2, 3}.  All are drawn as arrays.
     """
-    rng = np.random.default_rng(seed)
-    words = []
-    for _ in range(count):
-        rot = np.exp(2j * math.pi * rng.random())
-        nfac = int(rng.integers(0, max_factors + 1))
-        factors = tuple(
-            math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random())
-            for _ in range(nfac)
-        )
-        words.append(
-            SchwarzWord(complex(rot), factors, int(rng.integers(1, 4)))
-        )
-    return words
+    return [b.word(i) for b in _word_blocks(count, seed, max_factors)
+            for i in range(len(b.power))]
 
 
 def _target_values(target, jet, w1, w2):
@@ -223,6 +288,9 @@ class VerificationReport:
         }
 
 
+#: margin histogram cells over [0, bound]
+HISTOGRAM_BINS = 10
+
 #: float-accumulation slack for sampled functions (b2, b3 are truncation-exact)
 SAMPLE_TOL = 1e-6
 
@@ -257,18 +325,21 @@ def montecarlo_verify(
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
 
-    margins = []
+    phi_coeffs = np.asarray(phi_series(phi, order).coeffs)
+    cells = (0.0, max(bound, 1e-9))
+    counts = np.zeros(HISTOGRAM_BINS, dtype=int)
     max_observed = 0.0
     violations = []
-    for w in sample_words(count, seed, max_factors):
-        g = g_from_schwarz(phi, w, order)
-        value = abs(det(coeff_jet(g)))
-        max_observed = max(max_observed, value)
-        margins.append(bound - value)
-        if value > bound + tol:
+    for words in _word_blocks(count, seed, max_factors):
+        g = _class_member_coeffs(phi_coeffs, words, order)
+        values = np.abs(det(CoeffJet(g[:, 2], g[:, 3])))
+        max_observed = max(max_observed, float(values.max()))
+        counts += np.histogram(bound - values, bins=HISTOGRAM_BINS, range=cells)[0]
+        for i in np.flatnonzero(values > bound + tol):
+            w = words.word(i)
             violations.append(
                 {
-                    "value": value,
+                    "value": float(values[i]),
                     "rotation": [w.rotation.real, w.rotation.imag],
                     "factors": [[a.real, a.imag] for a in w.factors],
                     "leading_power": w.leading_power,
@@ -283,7 +354,7 @@ def montecarlo_verify(
         max_observed=max_observed,
         tol=tol,
         violations=violations,
-        margin_histogram=_histogram(margins, bound),
+        margin_histogram=_histogram(counts, cells) if count > 0 else [],
     )
     if violations:
         worst = max(violations, key=lambda v: v["value"])
@@ -294,10 +365,8 @@ def montecarlo_verify(
     return rep
 
 
-def _histogram(margins, bound, bins: int = 10):
-    if not margins:
-        return []
-    counts, edges = np.histogram(margins, bins=bins, range=(0.0, max(bound, 1e-9)))
+def _histogram(counts, cells):
+    edges = np.linspace(*cells, len(counts) + 1)
     return [
         {"lo": float(edges[i]), "hi": float(edges[i + 1]), "count": int(counts[i])}
         for i in range(len(counts))

@@ -4,6 +4,12 @@ A :class:`Series` holds coefficients c_0..c_N (coefficient of z^k at
 index k) for a fixed truncation order N.  All arithmetic is exact to
 the shared truncation order; coefficients beyond it are never consulted.
 Results of binary operations carry ``order = min`` of the operand orders.
+
+The arithmetic lives in the ``*_coeffs`` kernels, which act on complex
+arrays of shape (..., N+1): index k of the last axis multiplies z^k and
+the leading axes are a batch that broadcasts.  Binary kernels take equal
+last axes, and every kernel checks its precondition on every batch row.
+The :class:`Series` functions call the same kernels on a batch of one.
 """
 
 from __future__ import annotations
@@ -102,8 +108,78 @@ def from_coeffs(coeffs, order: int) -> Series:
     return Series(s.coeffs + (0j,) * (order - s.order))
 
 
+def _require_vanishing(a, exc, message):
+    if np.any(np.abs(a[..., 0]) > COEFF_TOL):
+        raise exc(message)
+
+
+def mul_coeffs(a, b):
+    """Truncated Cauchy product."""
+    n = a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for j in range(n):
+        out[..., j:] += a[..., j, None] * b[..., : n - j]
+    return out
+
+
+def div_coeffs(a, b):
+    """Long division a / b; requires b(0) != 0 in every batch row."""
+    if np.any(np.abs(b[..., 0]) <= COEFF_TOL):
+        raise ZeroConstantTerm("division by series with zero constant term")
+    n = a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for k in range(n):
+        s = a[..., k]
+        if k:
+            s = s - (b[..., 1 : k + 1] * out[..., k - 1 :: -1]).sum(axis=-1)
+        out[..., k] = s / b[..., 0]
+    return out
+
+
+def compose_coeffs(outer, inner):
+    """outer(inner(z)) by Horner's scheme; inner must vanish at 0."""
+    _require_vanishing(inner, NonzeroInnerConstant, "inner series must have zero constant term")
+    acc = np.zeros(np.broadcast_shapes(outer.shape, inner.shape), dtype=complex)
+    acc[..., 0] = outer[..., -1]
+    for k in range(outer.shape[-1] - 2, -1, -1):
+        acc = mul_coeffs(acc, inner)
+        acc[..., 0] += outer[..., k]
+    return acc
+
+
+def integrate_div_t_coeffs(a):
+    """sum a_k z^k (k >= 1) to sum (a_k / k) z^k; requires a(0) = 0."""
+    _require_vanishing(a, NonzeroConstant, "integrand must vanish at 0")
+    out = np.zeros(a.shape, dtype=complex)
+    out[..., 1:] = a[..., 1:] / np.arange(1, a.shape[-1])
+    return out
+
+
+def exp_coeffs(a):
+    """exp(a) for a(0) = 0, via the recurrence (exp a)' = a' exp a."""
+    _require_vanishing(a, NonzeroConstant, "exp_series requires a(0) = 0")
+    ja = np.arange(a.shape[-1]) * a
+    out = np.zeros(a.shape, dtype=complex)
+    out[..., 0] = 1.0
+    # k e_k = sum_{j=1..k} j a_j e_{k-j}
+    for k in range(1, a.shape[-1]):
+        out[..., k] = (ja[..., 1 : k + 1] * out[..., k - 1 :: -1]).sum(axis=-1) / k
+    return out
+
+
+def shift_mul_z_coeffs(a):
+    """Multiply by z keeping the truncation order (top coefficient drops)."""
+    out = np.zeros(a.shape, dtype=complex)
+    out[..., 1:] = a[..., :-1]
+    return out
+
+
 def _shared(a: Series, b: Series) -> int:
     return min(a.order, b.order)
+
+
+def _arr(a: Series, n: int):
+    return np.asarray(a.coeffs[: n + 1])
 
 
 def add(a: Series, b: Series) -> Series:
@@ -113,24 +189,13 @@ def add(a: Series, b: Series) -> Series:
 
 def mul(a: Series, b: Series) -> Series:
     n = _shared(a, b)
-    full = np.convolve(np.asarray(a.coeffs[: n + 1]), np.asarray(b.coeffs[: n + 1]))
-    return Series(tuple(full[: n + 1]))
+    return Series(mul_coeffs(_arr(a, n), _arr(b, n)))
 
 
 def div(a: Series, b: Series) -> Series:
     """Long division; requires b(0) != 0.  ``mul(result, b) == a`` to order."""
-    if abs(b.coeffs[0]) <= COEFF_TOL:
-        raise ZeroConstantTerm("division by series with zero constant term")
     n = _shared(a, b)
-    ac = np.asarray(a.coeffs[: n + 1])
-    bc = np.asarray(b.coeffs[: n + 1])
-    out = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        s = ac[k]
-        if k:
-            s = s - np.dot(bc[1 : k + 1], out[k - 1 :: -1])
-        out[k] = s / bc[0]
-    return Series(tuple(out))
+    return Series(div_coeffs(_arr(a, n), _arr(b, n)))
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -138,14 +203,8 @@ def compose(outer: Series, inner: Series) -> Series:
 
     Horner evaluation over series: O(N) series products, no FFT.
     """
-    if abs(inner.coeffs[0]) > COEFF_TOL:
-        raise NonzeroInnerConstant("inner series must have zero constant term")
     n = _shared(outer, inner)
-    inner_n = inner.truncate(n)
-    acc = constant(outer.coeffs[n], n)
-    for k in range(n - 1, -1, -1):
-        acc = mul(acc, inner_n) + constant(outer.coeffs[k], n)
-    return acc
+    return Series(compose_coeffs(_arr(outer, n), _arr(inner, n)))
 
 
 def derivative(a: Series) -> Series:
@@ -161,27 +220,14 @@ def integrate_div_t(a: Series) -> Series:
     Requires a(0) = 0; the result also vanishes at 0 and satisfies
     z * result' == a to the truncation order.
     """
-    if abs(a.coeffs[0]) > COEFF_TOL:
-        raise NonzeroConstant("integrand must vanish at 0")
-    out = [0j] + [a.coeffs[k] / k for k in range(1, a.order + 1)]
-    return Series(tuple(out))
+    return Series(integrate_div_t_coeffs(_arr(a, a.order)))
 
 
 def exp_series(a: Series) -> Series:
     """Series of exp(a) for a(0) = 0, via the recurrence (exp a)' = a' exp a."""
-    if abs(a.coeffs[0]) > COEFF_TOL:
-        raise NonzeroConstant("exp_series requires a(0) = 0")
-    n = a.order
-    ac = np.asarray(a.coeffs)
-    out = np.zeros(n + 1, dtype=complex)
-    out[0] = 1.0
-    # k e_k = sum_{j=1..k} j a_j e_{k-j}
-    for k in range(1, n + 1):
-        j = np.arange(1, k + 1)
-        out[k] = np.dot(j * ac[1 : k + 1], out[k - 1 :: -1]) / k
-    return Series(tuple(out))
+    return Series(exp_coeffs(_arr(a, a.order)))
 
 
 def shift_mul_z(a: Series) -> Series:
     """Multiply by z keeping the truncation order (top coefficient drops)."""
-    return Series((0j,) + a.coeffs[:-1])
+    return Series(shift_mul_z_coeffs(_arr(a, a.order)))

@@ -6,6 +6,7 @@ import pytest
 import toeplitz_lab as tl
 from toeplitz_lab import sampler as sp
 from toeplitz_lab import series as se
+from toeplitz_lab.cli import main
 
 TOL = 1e-12
 
@@ -156,3 +157,51 @@ def test_default_order_reports_match_order_16():
 def test_montecarlo_refuses_order_below_jet_order():
     with pytest.raises(ValueError, match="order"):
         tl.montecarlo_verify(HP, 10, seed=1, order=tl.JET_ORDER - 1)
+
+
+ACCEPTANCE_FAMILIES = (HP, tl.alpha(0.3), tl.alpha(0.5), tl.power(0.5), tl.power(0.9),
+                       tl.janowski(0.8, -0.6))
+
+
+@pytest.mark.parametrize("order", [3, 16])
+def test_batched_members_replay_through_scalar_build(monkeypatch, order):
+    count, seed = 40, 21
+    words = tl.sample_words(count, seed)
+    monkeypatch.setattr(sp, "BLOCK", 7)  # several blocks and a short last one
+    assert tl.sample_words(count, seed) == words
+    for phi in ACCEPTANCE_FAMILIES:
+        phi_coeffs = np.asarray(tl.phi_series(phi, order).coeffs)
+        batched = np.concatenate([sp._class_member_coeffs(phi_coeffs, b, order)
+                                  for b in sp._word_blocks(count, seed, 2)])
+        assert batched.shape == (count, order + 1)
+        values = []
+        for w, g in zip(words, batched):
+            j = tl.coeff_jet(tl.g_from_schwarz(phi, w, order))
+            assert abs(j.b2 - g[2]) <= 1e-13 and abs(j.b3 - g[3]) <= 1e-13
+            values.append(abs(tl.det_t22(j)))
+        if tl.condition_t22(phi):
+            rep = tl.montecarlo_verify(phi, count, seed, theorem="t22", order=order)
+            assert abs(rep.max_observed - max(values)) <= 1e-12
+
+
+def test_sample_words_prefix_and_distribution():
+    words = tl.sample_words(3000, seed=8)
+    assert tl.sample_words(10, seed=8) == words[:10]
+    assert {len(w.factors) for w in words} == {0, 1, 2}
+    assert {w.leading_power for w in words} == {1, 2, 3}
+    radii = np.array([abs(a) for w in words for a in w.factors])
+    assert radii.max() < 1 and abs(np.mean(radii**2) - 0.5) < 0.03  # area-uniform
+
+
+def test_violation_replays_from_its_word(monkeypatch, capsys):
+    monkeypatch.setattr(sp, "t22_bound", lambda jet: 0.0)
+    with pytest.raises(tl.BoundViolated) as info:
+        tl.montecarlo_verify(HP, 300, seed=4, theorem="t22")
+    v = info.value.word
+    w = tl.SchwarzWord(complex(*v["rotation"]), tuple(complex(*a) for a in v["factors"]),
+                       v["leading_power"])
+    got = abs(tl.det_t22(tl.coeff_jet(tl.g_from_schwarz(HP, w))))
+    assert abs(got - v["value"]) <= 1e-12
+    assert main(["verify", "--family", "starlike", "--samples", "50"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("violation:") for line in err) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toeplitz_lab import series as se
+from toeplitz_lab.sampler import SchwarzWord, omega_series
 from toeplitz_lab.series import Series
 
 TOL = 1e-12
@@ -148,3 +149,45 @@ def test_result_order_is_min_of_operands():
     assert se.add(a, b).order == 5
     assert se.mul(a, b).order == 5
     assert se.div(a, b).order == 5
+
+
+@pytest.mark.parametrize("order", [3, 16])
+def test_kernels_match_series_row_by_row(order):
+    rng = np.random.default_rng(16)
+    outer = [rand_series(rng, order) for _ in range(6)]
+    # inner rows vanish at 0; the last word's leading power exceeds the order
+    words = (SchwarzWord(1j, (0.3,), 1), SchwarzWord(-1.0, (0.5j, -0.2), 2),
+             SchwarzWord(1.0, (), order + 1))
+    inner = [Series((0,) + s.coeffs[1:]) for s in outer[:3]]
+    inner += [omega_series(w, order) for w in words]
+    a = np.array([s.coeffs for s in outer])
+    b = np.array([s.coeffs for s in inner])
+
+    def rows_equal(got, want):
+        want = np.array([s.coeffs for s in want])
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=TOL, atol=TOL)
+
+    rows = range(len(outer))
+    rows_equal(se.mul_coeffs(a, b), [se.mul(outer[i], inner[i]) for i in rows])
+    rows_equal(se.div_coeffs(b, a), [se.div(inner[i], outer[i]) for i in rows])
+    rows_equal(se.compose_coeffs(a, b), [se.compose(outer[i], inner[i]) for i in rows])
+    rows_equal(se.compose_coeffs(a[0], b), [se.compose(outer[0], s) for s in inner])
+    rows_equal(se.integrate_div_t_coeffs(b), [se.integrate_div_t(s) for s in inner])
+    rows_equal(se.exp_coeffs(b), [se.exp_series(s) for s in inner])
+    rows_equal(se.shift_mul_z_coeffs(a), [se.shift_mul_z(s) for s in outer])
+    assert not se.compose_coeffs(a, b)[-1, 1:].any()  # omega = O(z^(order+1))
+
+
+def test_kernels_check_every_row():
+    ok = np.array([[0, 1, 0, 0], [0, 2, 1, 0]], dtype=complex)
+    bad = ok.copy()
+    bad[1, 0] = 1.0
+    with pytest.raises(se.NonzeroInnerConstant):
+        se.compose_coeffs(ok, bad)
+    with pytest.raises(se.NonzeroConstant):
+        se.exp_coeffs(bad)
+    with pytest.raises(se.NonzeroConstant):
+        se.integrate_div_t_coeffs(bad)
+    with pytest.raises(se.ZeroConstantTerm):
+        se.div_coeffs(ok, bad)
