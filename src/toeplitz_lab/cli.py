@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -38,7 +39,15 @@ def _emit(text: str, out_path):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed early: send what is left, and the flush at
+            # exit, to the null device, so shutdown reports no second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _emit_json(payload, out_path):
@@ -176,7 +185,9 @@ def cmd_highdim(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="toeplitz-lab")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -5,15 +5,19 @@ Two independent routes to the sharp bounds live here:
 * ``montecarlo_verify`` samples Blaschke-product Schwarz functions,
   builds the induced class members g with z g'/g = Phi(omega(z)), and
   asserts the closed-form bounds on their determinants;
-* ``oracle_sup`` brute-forces the supremum of a target functional over
-  the exact Schwarz-Pick 2-jet body {(w1, w2): |w1| <= 1,
+* ``oracle_sup`` finds the largest value of a target functional on a
+  lattice over the exact Schwarz-Pick 2-jet body {(w1, w2): |w1| <= 1,
   |w2| <= 1 - |w1|^2}, which parametrizes every attainable (b2, b3)
   through b2 = d1 w1 and 2 b3 - b2^2 = d1 w2 + (d2/2) w1^2.
 
 The target functionals are polynomials in w2, so their moduli attain
 their maxima on the Schwarz-Pick boundary |w2| = 1 - |w1|^2 (maximum
-modulus principle); the oracle scans that boundary, which keeps the
-search three-dimensional without giving up any attainable value.
+modulus principle), and the lattice puts w2 there.  For fixed w1,
+b3 = A(w1) + B(w1) u with |u| = 1, and every target factors into at most
+two factors linear in u; the product of their moduli plus B is a bound
+U(w1) on every value at that w1.  The scan evaluates exactly only the
+w1 points where U can reach the best value found, and returns the same
+lattice maximum and witness as evaluating every point.
 """
 
 from __future__ import annotations
@@ -212,20 +216,101 @@ class OracleResult:
     argmax: JetBodyPoint
 
 
+#: w1 points per block of the bound pass, and values per block of the exact
+#: pass; bounds memory for any grid
+_CHUNK = 2**14
+
+#: pruning margin per unit of the term scale M of `_bound`.  Each float
+#: operation in `_target_values` or `_bound` errs by at most a few eps
+#: times the moduli it combines, and each of those is at most M, so a
+#: float value is within 40 eps M of the exact value at the same float
+#: (w1, w2), and a float U within 40 eps M of the exact U(w1); w2's own
+#: rounding, |w2| <= (1 - |w1|^2)(1 + 3 eps), fits inside that.  Against
+#: 200-bit arithmetic at random points both errors stayed under 3 eps M.
+#: So a w1 point with U < L - 256 eps M has every float value below the
+#: attained L: it can neither hold the maximum nor tie with it.  Where L
+#: is itself below that margin nothing is pruned and the scan is full.
+_SLACK = 256 * np.finfo(float).eps
+
+
+def _bound(target, jet, w1, rad2):
+    """Upper bound U(w1) on |target| over |w2| <= rad2, and a term scale M.
+
+    With b3 = A + B u, A = ((d2/2) w1^2 + b2^2)/2, B = d1 rad2/2, |u| = 1,
+    each target is a product of factors x + c B u with |c| = 1:
+    t22 = (b2 - b3)(b2 + b3), t31 = (2 b2^2 - 1 - b3)(b3 - 1) and
+    fs = b3 - lam b2^2.  So U = prod (|x| + B).  M is the same product over
+    the moduli of the terms that make up each factor; it bounds every
+    intermediate modulus of both U and `_target_values`.
+    """
+    b2 = jet.d1 * w1
+    b2sq = b2 * b2
+    a = ((jet.d2 / 2) * w1 * w1 + b2sq) / 2
+    m1 = np.abs(b2)
+    m2 = m1 * m1
+    ma = (abs(jet.d2 / 2) * np.abs(w1) ** 2 + m2) / 2
+    b = jet.d1 * rad2 / 2
+    if target == "t22":
+        x, t = (b2 - a, b2 + a), (m1 + ma,) * 2
+    elif target == "t31":
+        x, t = (2 * b2sq - 1 - a, a - 1), (2 * m2 + 1 + ma, ma + 1)
+    elif isinstance(target, tuple) and target[0] == "fs":
+        lam = complex(target[1])
+        x, t = (a - lam * b2sq,), (ma + abs(lam) * m2,)
+    else:
+        raise ValueError(f"unknown target {target!r}")
+    return math.prod(np.abs(xk) + b for xk in x), math.prod(tk + b for tk in t)
+
+
 def _scan(jet, target, r1, th1, th2):
-    """Max of the target over the lattice; w2 on the Schwarz-Pick boundary."""
-    w1 = r1[:, None] * np.exp(1j * th1)[None, :]
-    rad2 = (1 - r1**2)[:, None]
-    best = -1.0
-    arg = (0, 0, 0)
+    """Max of the target over the lattice, and its witness (i, j, k).
+
+    The lattice is w1 = r1[i] e^{i th1[j]}, w2 = (1 - r1[i]^2) e^{i th2[k]}.
+    U(w1) from `_bound` caps every value at a w1 point, so exact values are
+    taken, block by block, only where U can reach the maximum: first at the
+    points of highest U, whose best value L is a lower bound, then at every
+    point with U >= L - margin (see `_SLACK`).  Exact values come from
+    `_target_values` on the same floats a full scan uses, so the maximum and
+    witness are those of the full scan: the largest value, then the smallest
+    k, then the smallest flat index i * len(th1) + j.
+    """
+    e1 = np.exp(1j * th1)
+    rad2 = 1 - r1**2
     phase2 = np.exp(1j * th2)
-    for k, p2 in enumerate(phase2):
-        vals = _target_values(target, jet, w1, rad2 * p2)
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[i, j] > best:
-            best = float(vals[i, j])
-            arg = (i, j, k)
-    return best, arg
+    n = len(r1) * len(e1)
+
+    def points(flat):
+        i, j = np.divmod(flat, len(e1))
+        return r1[i] * e1[j], rad2[i]
+
+    bound, scale = np.empty(n), np.empty(n)
+    for s in range(0, n, _CHUNK):
+        part = slice(s, min(s + _CHUNK, n))
+        bound[part], scale[part] = _bound(
+            target, jet, *points(np.arange(part.start, part.stop)))
+
+    rows = max(1, _CHUNK // len(phase2))
+
+    def exact(keep):
+        """Best value over the flat w1 indices ``keep``, and its least key."""
+        best, key = -1.0, 0
+        for s in range(0, len(keep), rows):
+            flat = keep[s : s + rows]
+            w1, r = points(flat)
+            vals = _target_values(target, jet, w1[:, None], r[:, None] * phase2)
+            top = vals.max()
+            if top >= best:
+                at, k = np.nonzero(vals == top)
+                first = int((k * n + flat[at]).min())
+                if top > best or first < key:
+                    best, key = float(top), first
+        return best, key
+
+    low, _ = exact(np.argpartition(bound, max(n - rows, 0))[-rows:])
+    best, key = exact(np.flatnonzero(bound >= low - _SLACK * scale))
+    k, flat = divmod(key, n)
+    i, j = divmod(flat, len(e1))
+    return best, (i, j, k)
 
 
 #: least lattice size per axis the oracle scans
@@ -233,10 +318,16 @@ MIN_GRID = 8
 
 
 def oracle_sup(phi: PhiSpec, target, grid: int = 200, refine: bool = True):
-    """Supremum of |target| over the Schwarz-Pick 2-jet body by grid scan.
+    """Supremum of |target| over the Schwarz-Pick 2-jet body by lattice scan.
 
-    One local refinement pass around the best cell removes most of the
-    lattice-resolution bias.  Converges to the sharp bound from below.
+    The lattice is grid radii x grid phases of w1 and grid phases of w2,
+    with |w2| = 1 - |w1|^2.  Writing b3 = A(w1) + B(w1) u, |u| = 1, each
+    target is a product of factors linear in u, which bounds it at each w1
+    by U(w1); w1 points whose U cannot reach the best value found are
+    skipped, and the result is the maximum and witness a scan of every
+    lattice point gives.  One local refinement pass around the best cell
+    removes most of the lattice-resolution bias.  Converges to the sharp
+    bound from below.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}")

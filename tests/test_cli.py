@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from toeplitz_lab.cli import main
+from toeplitz_lab.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -174,3 +180,32 @@ def test_order_is_rejected_outside_verify(command):
     with pytest.raises(SystemExit) as err:
         main([command, "--family", "starlike", "--order", "16"])
     assert err.value.code == 2
+
+
+def test_closed_pipe_exits_quietly():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toeplitz_lab.cli", "highdim", "--family", "starlike"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before the report is written
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("TOEPLITZ_LAB_SEED", raising=False)
+    calls = [
+        ("verify", "--family", "starlike", "--theorem", "t22", "--samples", "40",
+         "--seed", "5"),
+        ("verify", "--family", "alpha:0.3", "--samples", "40"),
+        ("bounds", "--family", "starlike", "--fs-lambda", "0.3"),
+        ("bounds", "--family", "starlike"),
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert build_parser() is build_parser()
+    assert [run(capsys, *argv) for argv in calls] == fresh

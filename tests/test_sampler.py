@@ -205,3 +205,77 @@ def test_violation_replays_from_its_word(monkeypatch, capsys):
     assert main(["verify", "--family", "starlike", "--samples", "50"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert sum(line.startswith("violation:") for line in err) == 1
+
+
+def reference_scan(jet, target, r1, th1, th2):
+    """The full lattice scan: every w1 point at every w2 phase, in k order."""
+    w1 = r1[:, None] * np.exp(1j * th1)[None, :]
+    rad2 = (1 - r1**2)[:, None]
+    best = -1.0
+    arg = (0, 0, 0)
+    phase2 = np.exp(1j * th2)
+    for k, p2 in enumerate(phase2):
+        vals = sp._target_values(target, jet, w1, rad2 * p2)
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[i, j] > best:
+            best = float(vals[i, j])
+            arg = (i, j, k)
+    return best, arg
+
+
+def assert_scan_equals_reference(jet, target, r1, th1, th2):
+    value, (i, j, k) = sp._scan(jet, target, r1, th1, th2)
+    ref, (ri, rj, rk) = reference_scan(jet, target, r1, th1, th2)
+    assert value == ref, (target, value, ref)
+    assert (i, j, k) == (ri, rj, rk), (target, (i, j, k), (ri, rj, rk))
+
+
+def full_lattice(grid):
+    r1 = np.linspace(0.0, 1.0, grid)
+    th = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    return r1, th, th
+
+
+SCAN_FAMILIES = ACCEPTANCE_FAMILIES + (tl.power(0.2), tl.alpha(0.9), tl.janowski(1, -1))
+SCAN_TARGETS = ("t22", "t31", ("fs", 0.0), ("fs", 0.5), ("fs", 2.0), ("fs", 0.3 + 0.4j))
+
+
+@pytest.mark.parametrize("grid", [8, 17, 64])
+def test_pruned_scan_equals_full_scan(grid):
+    for phi in SCAN_FAMILIES:
+        for target in SCAN_TARGETS:
+            assert_scan_equals_reference(tl.jet2(phi), target, *full_lattice(grid))
+
+
+def test_pruned_scan_equals_full_scan_on_refinement_lattice(monkeypatch):
+    # the refinement pass around w1 = i clips half its radii to r = 1
+    monkeypatch.setattr(sp, "_CHUNK", 50)  # several blocks in both passes
+    grid = 17
+    r1, th, _ = full_lattice(grid)
+    dr, dt = r1[1], th[1]
+    fr1 = np.clip(np.linspace(1 - dr, 1 + dr, grid), 0.0, 1.0)
+    assert (fr1 == 1.0).sum() > 1
+    fth1 = np.linspace(math.pi / 2 - dt, math.pi / 2 + dt, grid)
+    fth2 = np.linspace(-dt, dt, grid)
+    for phi in SCAN_FAMILIES:
+        for target in SCAN_TARGETS:
+            assert_scan_equals_reference(tl.jet2(phi), target, fr1, fth1, fth2)
+
+
+def test_flat_maximum_keeps_every_point(monkeypatch):
+    # |b3 - b2^2/2| = |w2 + w1^2| on starlike reaches 1 at every w1
+    evaluated = []
+    values = sp._target_values
+
+    def counting(target, jet, w1, w2):
+        evaluated.extend(np.ravel(w1))
+        return values(target, jet, w1, w2)
+
+    jet, target, lattice = tl.jet2(HP), ("fs", 0.5), full_lattice(17)
+    monkeypatch.setattr(sp, "_target_values", counting)
+    got = sp._scan(jet, target, *lattice)
+    monkeypatch.undo()
+    assert got == reference_scan(jet, target, *lattice)
+    r1, th1, _ = lattice
+    points = r1[:, None] * np.exp(1j * th1)[None, :]
+    assert set(points.ravel()) <= set(evaluated)
