@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .phi import Jet2, PhiSpec, condition_t22, condition_t31, jet2
+from .toeplitz import jsonable
 
 
 def fekete_szego_bound(jet: Jet2, lam: complex) -> float:
@@ -42,19 +43,10 @@ class BoundReport:
     fs_lambda_table: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "d1": self.d1,
-            "d2": self.d2,
-            "cond_t22": self.cond_t22,
-            "cond_t31": self.cond_t31,
-            "t22": self.t22,
-            "t31": self.t31,
-            "fs": [
-                {"lambda_re": lam.real, "lambda_im": lam.imag, "bound": b}
-                for lam, b in self.fs_lambda_table
-            ],
-        }
+        d = jsonable(self)
+        d["fs"] = [{"lambda_re": re, "lambda_im": im, "bound": b}
+                   for (re, im), b in d.pop("fs_lambda_table")]
+        return d
 
 
 def report(phi: PhiSpec, lam_list=()) -> BoundReport:

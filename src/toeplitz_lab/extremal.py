@@ -14,7 +14,7 @@ from . import series as se
 from .bounds import t22_bound, t31_bound
 from .phi import PhiSpec, condition_t22, condition_t31, jet2, phi_series
 from .series import Series
-from .toeplitz import JET_ORDER, coeff_jet, det_t22, det_t31
+from .toeplitz import JET_ORDER, coeff_jet, det_t22, det_t31, jsonable
 
 CERT_TOL = 1e-10
 
@@ -46,20 +46,7 @@ class ExtremalCertificate:
     gap_t31: float
     cond_t31: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "b2": [self.b2.real, self.b2.imag],
-            "b3": [self.b3.real, self.b3.imag],
-            "cond_t22": self.cond_t22,
-            "attained_t22": self.attained_t22,
-            "bound_t22": self.bound_t22,
-            "gap_t22": self.gap_t22,
-            "cond_t31": self.cond_t31,
-            "attained_t31": self.attained_t31,
-            "bound_t31": self.bound_t31,
-            "gap_t31": self.gap_t31,
-        }
+    to_json_dict = jsonable
 
 
 def certify(phi: PhiSpec) -> ExtremalCertificate:

@@ -17,7 +17,6 @@ these lifts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .extremal import extremal_g
 from .phi import PhiSpec, condition_t22, condition_t31, jet2
 from .sampler import BoundViolated
 from .series import Series
+from .toeplitz import jsonable
 
 MARGIN_TOL = 1e-9
 
@@ -136,25 +136,27 @@ class MarginReport:
     rhs_t31: float | None
     margin_t31: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "setting": self.setting,
-            "lhs_t22": self.lhs_t22,
-            "rhs_t22": self.rhs_t22,
-            "margin_t22": self.margin_t22,
-            "lhs_t31": self.lhs_t31,
-            "rhs_t31": self.rhs_t31,
-            "margin_t31": self.margin_t31,
-        }
+    to_json_dict = jsonable
 
 
-def _check(report: MarginReport, tol: float):
+def _margin_report(phi, setting, lhs22, rhs22, lhs31, rhs31, tol) -> MarginReport:
+    """Both inequalities at one point; a bound whose condition fails is
+    reported as None.  Raises BoundViolated for a margin below -tol."""
+    rhs22 = rhs22 if condition_t22(phi) else None
+    rhs31 = rhs31 if condition_t31(phi) else None
+    report = MarginReport(
+        family=phi.label(),
+        setting=setting,
+        lhs_t22=lhs22,
+        rhs_t22=rhs22,
+        margin_t22=None if rhs22 is None else rhs22 - lhs22,
+        lhs_t31=lhs31,
+        rhs_t31=rhs31,
+        margin_t31=None if rhs31 is None else rhs31 - lhs31,
+    )
     for name, margin in (("t22", report.margin_t22), ("t31", report.margin_t31)):
         if margin is not None and margin < -tol:
-            raise BoundViolated(
-                f"{report.family} {report.setting} {name}: margin {margin}"
-            )
+            raise BoundViolated(f"{report.family} {setting} {name}: margin {margin}")
     return report
 
 
@@ -173,22 +175,8 @@ def verify_ball(
     b3 = lz_apply(z, terms.q3) / nrm**3
     lhs22 = abs(b2**2 - b3**2)
     lhs31 = abs(2 * b2**2 * b3 - b3**2 - 2 * b2**2 + 1)
-    c22, c31 = condition_t22(phi), condition_t31(phi)
-    rhs22 = t22_bound(jet) if c22 else None
-    rhs31 = t31_bound(jet) if c31 else None
-    return _check(
-        MarginReport(
-            family=phi.label(),
-            setting=f"ball/{z.norm_kind}/n={len(z.coords)}",
-            lhs_t22=lhs22,
-            rhs_t22=rhs22,
-            margin_t22=None if rhs22 is None else rhs22 - lhs22,
-            lhs_t31=lhs31,
-            rhs_t31=rhs31,
-            margin_t31=None if rhs31 is None else rhs31 - lhs31,
-        ),
-        tol,
-    )
+    return _margin_report(phi, f"ball/{z.norm_kind}/n={len(z.coords)}",
+                          lhs22, t22_bound(jet), lhs31, t31_bound(jet), tol)
 
 
 def verify_polydisc(
@@ -211,32 +199,14 @@ def verify_polydisc(
     q2, q3, b2sq = terms.q2, terms.q3, terms.b2sq_vec
     lhs22 = float(np.max(np.abs(q3 * q3 - q2 * q2)))
     lhs31 = float(np.max(np.abs(2 * b2sq * q3 - q3 * q3 - 2 * q2 * q2 + 1)))
-    c22, c31 = condition_t22(phi), condition_t31(phi)
-    rhs22 = (
-        (jet.d1**2 * nrm**6 / 4) * (e + jet.d1) ** 2 + (jet.d1 * nrm**2) ** 2
-        if c22
-        else None
-    )
+    rhs22 = (jet.d1**2 * nrm**6 / 4) * (e + jet.d1) ** 2 + (jet.d1 * nrm**2) ** 2
     rhs31 = (
         1
         + (jet.d1**2 * nrm**6 / 4) * (3 * jet.d1 - e) * (e + jet.d1)
         + 2 * jet.d1**2 * nrm**4
-        if c31
-        else None
     )
-    return _check(
-        MarginReport(
-            family=phi.label(),
-            setting=f"polydisc/n={len(z.coords)}",
-            lhs_t22=lhs22,
-            rhs_t22=rhs22,
-            margin_t22=None if rhs22 is None else rhs22 - lhs22,
-            lhs_t31=lhs31,
-            rhs_t31=rhs31,
-            margin_t31=None if rhs31 is None else rhs31 - lhs31,
-        ),
-        tol,
-    )
+    return _margin_report(phi, f"polydisc/n={len(z.coords)}",
+                          lhs22, rhs22, lhs31, rhs31, tol)
 
 
 def lift_from_class_member(g: Series) -> Series:

@@ -89,6 +89,8 @@ def custom(phi_series: Series, inverse: Series | None = None) -> PhiSpec:
     ``inverse``, when given, is the expansion of the inverse map in powers
     of (w - 1), with zero constant term, so that omega = inverse(w - 1).
     """
+    if not all(np.isfinite(s.coeffs).all() for s in (phi_series, inverse) if s is not None):
+        raise InvalidParameters("custom series coefficients must be finite")
     if abs(phi_series.coeffs[0] - 1) > JET_TOL:
         raise InvalidParameters("custom Phi must have Phi(0) = 1")
     if phi_series.order < 2:
@@ -234,6 +236,6 @@ def parse_family(text: str) -> PhiSpec:
                 Series(tuple(complex(re, im) for re, im in inv)) if inv else None
             )
             return custom(Series(tuple(coeffs)), inv_series)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         raise InvalidParameters(f"bad family spec {text!r}: {exc}") from exc
     raise InvalidParameters(f"bad family spec {text!r}")

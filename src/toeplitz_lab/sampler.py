@@ -31,7 +31,7 @@ from . import series as se
 from .bounds import fekete_szego_bound, t22_bound, t31_bound
 from .phi import PhiSpec, condition_t22, condition_t31, jet2, phi_series
 from .series import Series
-from .toeplitz import JET_ORDER, CoeffJet, det_t22, det_t31
+from .toeplitz import JET_ORDER, CoeffJet, det_t22, det_t31, jsonable
 
 
 class BoundViolated(AssertionError):
@@ -365,18 +365,7 @@ class VerificationReport:
     violations: list = field(default_factory=list)
     margin_histogram: list = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "theorem": self.theorem,
-            "samples": self.samples,
-            "seed": self.seed,
-            "bound": self.bound,
-            "max_observed": self.max_observed,
-            "tol": self.tol,
-            "violations": self.violations,
-            "margin_histogram": self.margin_histogram,
-        }
+    to_json_dict = jsonable
 
 
 #: margin histogram cells over [0, bound]
@@ -391,20 +380,17 @@ def montecarlo_verify(
     count: int,
     seed: int,
     theorem: str = "t22",
-    order: int = JET_ORDER,
     max_factors: int = 2,
     tol: float = SAMPLE_TOL,
 ) -> VerificationReport:
     """Sample class members and assert the requested sharp bound.
 
-    Each sample's g is built to truncation ``order``; (b2, b3) are exact
-    from ``JET_ORDER`` on, and a lower ``order`` is refused with ValueError.
+    Each sample's g is built to truncation ``JET_ORDER``, at which (b2, b3)
+    are exact.
 
     Raises :class:`BoundViolated` (carrying the offending word) if any
     sample exceeds bound + tol; a violation is a genuine test failure.
     """
-    if order < JET_ORDER:
-        raise ValueError(f"order must be >= {JET_ORDER} to read (b2, b3), got {order}")
     if theorem == "t22":
         bound, det = t22_bound(jet2(phi)), det_t22
         if not condition_t22(phi):
@@ -416,26 +402,18 @@ def montecarlo_verify(
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
 
-    phi_coeffs = np.asarray(phi_series(phi, order).coeffs)
+    phi_coeffs = np.asarray(phi_series(phi).coeffs)
     cells = (0.0, max(bound, 1e-9))
     counts = np.zeros(HISTOGRAM_BINS, dtype=int)
     max_observed = 0.0
     violations = []
     for words in _word_blocks(count, seed, max_factors):
-        g = _class_member_coeffs(phi_coeffs, words, order)
+        g = _class_member_coeffs(phi_coeffs, words, JET_ORDER)
         values = np.abs(det(CoeffJet(g[:, 2], g[:, 3])))
         max_observed = max(max_observed, float(values.max()))
         counts += np.histogram(bound - values, bins=HISTOGRAM_BINS, range=cells)[0]
         for i in np.flatnonzero(values > bound + tol):
-            w = words.word(i)
-            violations.append(
-                {
-                    "value": float(values[i]),
-                    "rotation": [w.rotation.real, w.rotation.imag],
-                    "factors": [[a.real, a.imag] for a in w.factors],
-                    "leading_power": w.leading_power,
-                }
-            )
+            violations.append({"value": float(values[i]), **jsonable(words.word(i))})
     rep = VerificationReport(
         family=phi.label(),
         theorem=theorem,

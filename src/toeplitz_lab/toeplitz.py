@@ -14,6 +14,24 @@ _NORM_TOL = 1e-12
 MAX_GENERIC_SIZE = 6
 
 
+def jsonable(x):
+    """``x`` as JSON data: a dataclass as a dict of its fields, a complex
+    number as ``[re, im]``, lists, tuples and dicts item by item.  Atomic
+    types are tested first, as most values are atomic."""
+    if x is None or isinstance(x, (str, int, float)):
+        return x
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    fields = getattr(x, "__dataclass_fields__", None)
+    if fields is None:
+        raise TypeError(f"no JSON form for {type(x).__name__}")
+    return {name: jsonable(getattr(x, name)) for name in fields}
+
+
 class NotNormalized(ValueError):
     """Series is not of the form z + b2 z^2 + b3 z^3 + ..."""
 

@@ -132,15 +132,6 @@ def test_usage_error_exit_2():
     assert err.value.code == 2
 
 
-def test_verify_order_below_jet_order_exit_2(capsys):
-    code = main(["verify", "--family", "starlike", "--order", "2",
-                 "--samples", "10"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("usage error:")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-
-
 def test_verify_tol_zero_is_honoured(capsys):
     code, out = run(capsys, "verify", "--family", "starlike", "--theorem", "t22",
                     "--samples", "50", "--tol", "0")
@@ -162,9 +153,16 @@ def test_verify_tol_zero_is_honoured(capsys):
     (["highdim", "--family", "starlike", "--seed", "-1"], None),
     (["sharpness", "--family", "starlike", "--grid", "4"], None),
     (["table", "--sweep", "alpha:0:1"], None),
+    (["table", "--sweep", "alpha:nan:0.5:0.1"], None),
+    (["table", "--sweep", "alpha:0:inf:0.1"], None),
+    (["table", "--sweep", "alpha:0:0.5:nan"], None),
+    (["bounds", "--family", "starlike", "--fs-lambda", "nan", "inf"], None),
+    (["bounds", "--family", "starlike", "--fs-lambda", "0.5", "inf"], None),
+    (["verify", "--family", "starlike", "--tol", "inf"], None),
 ], ids=["tol-neg", "tol-nan", "samples-neg", "seed-neg", "env-seed-abc", "r-zero",
         "r-above-1", "r-not-number", "n-zero", "highdim-samples-neg", "highdim-seed-neg",
-        "grid-4", "sweep-short"])
+        "grid-4", "sweep-short", "sweep-nan-start", "sweep-inf-stop", "sweep-nan-step",
+        "fs-lambda-nan-inf", "fs-lambda-inf", "tol-inf"])
 def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, argv, env_seed):
     if env_seed is not None:
         monkeypatch.setenv("TOEPLITZ_LAB_SEED", env_seed)
@@ -175,7 +173,53 @@ def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, argv, env_seed
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("command", ["bounds", "sharpness", "highdim"])
+@pytest.mark.parametrize("payload", [
+    '{"coeffs": [1, 2, 3]}',
+    '[[1, 0], [2, 0], [2, 0]]',
+    '{"coeffs": [[1, 0], [2, 0], [2, 0]], "inverse": 5}',
+    '{"coeffs": [[1, 0], [Infinity, 0], [2, 0]]}',
+], ids=["flat-coeffs", "top-level-list", "inverse-int", "coeff-inf"])
+def test_malformed_custom_family_file_is_a_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "phi.json"
+    path.write_text(payload)
+    code = main(["bounds", "--family", f"custom:{path}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+STARLIKE_BOUNDS = """\
+{
+  "cond_t22": true,
+  "cond_t31": true,
+  "d1": 2.0,
+  "d2": 4.0,
+  "family": "halfplane",
+  "fs": [
+    {
+      "bound": 3.0,
+      "lambda_im": 0.0,
+      "lambda_re": 0.0
+    },
+    {
+      "bound": 1.0,
+      "lambda_im": 0.0,
+      "lambda_re": 0.5
+    }
+  ],
+  "t22": 13.0,
+  "t31": 24.0
+}
+"""
+
+
+def test_bounds_output_is_pinned(capsys):
+    code, out = run(capsys, "bounds", "--family", "starlike", "--fs-lambda", "0", "0.5")
+    assert code == 0 and out == STARLIKE_BOUNDS
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify", "sharpness", "highdim"])
 def test_order_is_rejected_outside_verify(command):
     with pytest.raises(SystemExit) as err:
         main([command, "--family", "starlike", "--order", "16"])

@@ -141,24 +141,6 @@ def test_report_json_roundtrip():
     assert sum(h["count"] for h in d["margin_histogram"]) <= 200
 
 
-def test_default_order_reports_match_order_16():
-    # (b2, b3) are exact from JET_ORDER on, so the default changes only cost
-    for phi, theorem in ((HP, "t22"), (tl.power(0.5), "t31")):
-        for seed in (0, 6):
-            lo = tl.montecarlo_verify(phi, 300, seed=seed, theorem=theorem)
-            hi = tl.montecarlo_verify(phi, 300, seed=seed, theorem=theorem,
-                                      order=16)
-            assert lo.violations == hi.violations == []
-            assert ([h["count"] for h in lo.margin_histogram]
-                    == [h["count"] for h in hi.margin_histogram])
-            assert abs(lo.max_observed - hi.max_observed) <= se.COEFF_TOL
-
-
-def test_montecarlo_refuses_order_below_jet_order():
-    with pytest.raises(ValueError, match="order"):
-        tl.montecarlo_verify(HP, 10, seed=1, order=tl.JET_ORDER - 1)
-
-
 ACCEPTANCE_FAMILIES = (HP, tl.alpha(0.3), tl.alpha(0.5), tl.power(0.5), tl.power(0.9),
                        tl.janowski(0.8, -0.6))
 
@@ -180,7 +162,7 @@ def test_batched_members_replay_through_scalar_build(monkeypatch, order):
             assert abs(j.b2 - g[2]) <= 1e-13 and abs(j.b3 - g[3]) <= 1e-13
             values.append(abs(tl.det_t22(j)))
         if tl.condition_t22(phi):
-            rep = tl.montecarlo_verify(phi, count, seed, theorem="t22", order=order)
+            rep = tl.montecarlo_verify(phi, count, seed, theorem="t22")
             assert abs(rep.max_observed - max(values)) <= 1e-12
 
 

@@ -1,9 +1,13 @@
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import toeplitz_lab as tl
 from toeplitz_lab import series as se
-from toeplitz_lab.toeplitz import NotNormalized
+from toeplitz_lab.highdim import extremal_lift
+from toeplitz_lab.toeplitz import NotNormalized, jsonable
 
 
 def test_coeff_jet():
@@ -55,3 +59,30 @@ def test_det_generic_matches_closed_forms():
         j = tl.CoeffJet(b2, b3)
         assert abs(tl.det_generic([1, b2, b3], 3) - tl.det_t31(j)) < 1e-10
         assert abs(tl.det_generic([b2, b3], 2) - tl.det_t22(j)) < 1e-10
+
+
+@dataclass(frozen=True)
+class _Pair:
+    z: complex
+    items: tuple
+
+
+def test_jsonable_converts_recursively():
+    x = {"a": [_Pair(1 + 2j, (3, None, "s")), (0.5, True)], "b": np.complex128(-1j)}
+    assert jsonable(x) == {"a": [{"z": [1.0, 2.0], "items": [3, None, "s"]}, [0.5, True]],
+                           "b": [-0.0, -1.0]}
+    with pytest.raises(TypeError):
+        jsonable({1, 2})
+
+
+def test_every_report_round_trips_through_strict_json():
+    reports = [
+        tl.report(tl.janowski(0.5, -0.5), [0, 0.3 + 0.4j]),
+        tl.certify(tl.halfplane()),
+        tl.verify_ball(tl.power(0.25), extremal_lift(tl.power(0.25)),
+                       tl.NormedPoint((0.5, 0.2j), "sup")),
+        tl.montecarlo_verify(tl.alpha(0.3), 50, seed=2, theorem="t31"),
+    ]
+    for rep in reports:
+        d = rep.to_json_dict()
+        assert json.loads(json.dumps(d, allow_nan=False)) == d
