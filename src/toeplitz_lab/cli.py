@@ -34,6 +34,9 @@ EXIT_REFUSED = 4
 
 DEFAULT_LAMBDAS = (0.0, 0.5, 1.0, 2.0)
 
+#: most rows a `table` sweep writes; a longer sweep is refused
+MAX_TABLE_ROWS = 10**6
+
 
 def _emit(text: str, out_path):
     if out_path:
@@ -52,7 +55,7 @@ def _emit(text: str, out_path):
 
 
 def _emit_json(payload, out_path):
-    _emit(json.dumps(payload, indent=2, sort_keys=True), out_path)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), out_path)
 
 
 def _seed(args) -> int:
@@ -68,6 +71,10 @@ def cmd_bounds(args) -> int:
     if not all(map(math.isfinite, lams)):
         raise InvalidParameters(f"--fs-lambda values must be finite, got {lams}")
     rep = bd.report(phi, [complex(x) for x in lams])
+    bounds = (rep.t22, rep.t31, *(b for _, b in rep.fs_lambda_table))
+    if not all(math.isfinite(b) for b in bounds if b is not None):
+        raise InvalidParameters(
+            f"a bound of {args.family!r} with --fs-lambda {lams} overflows the float range")
     _emit_json(rep.to_json_dict(), args.out)
     return EXIT_OK
 
@@ -137,7 +144,10 @@ def cmd_table(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["param", "t22", "t31", "cond_t22", "cond_t31"])
-    n = max(0, int(round((stop - start) / step)) + 1) if step > 0 else 0
+    steps = (stop - start) / step if step > 0 else -1.0
+    n = max(0, int(round(min(steps, MAX_TABLE_ROWS))) + 1)
+    if n > MAX_TABLE_ROWS:
+        raise InvalidParameters(f"sweep {args.sweep!r} has more than {MAX_TABLE_ROWS} rows")
     for k in range(n):
         p = start + k * step
         rep = bd.report(parse_family(f"{name}:{p}"))

@@ -15,9 +15,13 @@ their maxima on the Schwarz-Pick boundary |w2| = 1 - |w1|^2 (maximum
 modulus principle), and the lattice puts w2 there.  For fixed w1,
 b3 = A(w1) + B(w1) u with |u| = 1, and every target factors into at most
 two factors linear in u; the product of their moduli plus B is a bound
-U(w1) on every value at that w1.  The scan evaluates exactly only the
-w1 points where U can reach the best value found, and returns the same
-lattice maximum and witness as evaluating every point.
+U(w1) on every value at that w1.  Replacing each term of those factors by
+its modulus gives a cap M(r) >= U that depends on the radius r = |w1|
+alone.  The scan drops every radius whose cap cannot reach the best value
+found, bounds the rest by U, and evaluates exactly only the w1 points
+where U can reach it.  Rows of equal radius hold the same floats, so each
+distinct radius is scanned once.  The result is the same lattice maximum
+and witness as evaluating every point.
 """
 
 from __future__ import annotations
@@ -220,56 +224,83 @@ class OracleResult:
 #: pass; bounds memory for any grid
 _CHUNK = 2**14
 
-#: pruning margin per unit of the term scale M of `_bound`.  Each float
-#: operation in `_target_values` or `_bound` errs by at most a few eps
-#: times the moduli it combines, and each of those is at most M, so a
+#: pruning margin per unit of the term scale M of `_cap`.  Each float
+#: operation in `_target_values`, `_bound` or `_cap` errs by at most a few
+#: eps times the moduli it combines, and each of those is at most M, so a
 #: float value is within 40 eps M of the exact value at the same float
 #: (w1, w2), and a float U within 40 eps M of the exact U(w1); w2's own
 #: rounding, |w2| <= (1 - |w1|^2)(1 + 3 eps), fits inside that.  Against
 #: 200-bit arithmetic at random points both errors stayed under 3 eps M.
 #: So a w1 point with U < L - 256 eps M has every float value below the
-#: attained L: it can neither hold the maximum nor tie with it.  Where L
-#: is itself below that margin nothing is pruned and the scan is full.
+#: attained L: it can neither hold the maximum nor tie with it.  The cap
+#: M(r) is computed from the radius r, while U and the values see the
+#: float |r e^{i th}|, which differs from r by a few ulps.  Both take B
+#: from the same float 1 - r^2, and with B fixed M is a polynomial of
+#: degree at most 4 in r with nonnegative coefficients, so that moves it by
+#: under 10 eps M, and a radius with M(r) < L - 256 eps M has every float
+#: value below L as well.  Where L is itself below that margin nothing is
+#: pruned and the scan is full.
 _SLACK = 256 * np.finfo(float).eps
 
 
 def _bound(target, jet, w1, rad2):
-    """Upper bound U(w1) on |target| over |w2| <= rad2, and a term scale M.
+    """Upper bound U(w1) on |target| over |w2| <= rad2.
 
     With b3 = A + B u, A = ((d2/2) w1^2 + b2^2)/2, B = d1 rad2/2, |u| = 1,
     each target is a product of factors x + c B u with |c| = 1:
     t22 = (b2 - b3)(b2 + b3), t31 = (2 b2^2 - 1 - b3)(b3 - 1) and
-    fs = b3 - lam b2^2.  So U = prod (|x| + B).  M is the same product over
-    the moduli of the terms that make up each factor; it bounds every
-    intermediate modulus of both U and `_target_values`.
+    fs = b3 - lam b2^2.  So U = prod (|x| + B).
     """
     b2 = jet.d1 * w1
     b2sq = b2 * b2
     a = ((jet.d2 / 2) * w1 * w1 + b2sq) / 2
-    m1 = np.abs(b2)
-    m2 = m1 * m1
-    ma = (abs(jet.d2 / 2) * np.abs(w1) ** 2 + m2) / 2
-    b = jet.d1 * rad2 / 2
     if target == "t22":
-        x, t = (b2 - a, b2 + a), (m1 + ma,) * 2
+        x = (b2 - a, b2 + a)
     elif target == "t31":
-        x, t = (2 * b2sq - 1 - a, a - 1), (2 * m2 + 1 + ma, ma + 1)
+        x = (2 * b2sq - 1 - a, a - 1)
     elif isinstance(target, tuple) and target[0] == "fs":
-        lam = complex(target[1])
-        x, t = (a - lam * b2sq,), (ma + abs(lam) * m2,)
+        x = (a - complex(target[1]) * b2sq,)
     else:
         raise ValueError(f"unknown target {target!r}")
-    return math.prod(np.abs(xk) + b for xk in x), math.prod(tk + b for tk in t)
+    b = jet.d1 * rad2 / 2
+    return math.prod(np.abs(xk) + b for xk in x)
+
+
+def _cap(target, jet, r, rad2):
+    """Term scale M(r) of the factors of `_bound` at |w1| = r.
+
+    M is U with each factor's terms replaced by their moduli, so it is at
+    least U(w1) at every phase of w1, and it bounds every intermediate
+    modulus of both U and `_target_values` there.  It depends on r alone.
+    """
+    m1 = jet.d1 * r
+    m2 = m1 * m1
+    ma = (abs(jet.d2 / 2) * r * r + m2) / 2
+    if target == "t22":
+        t = (m1 + ma,) * 2
+    elif target == "t31":
+        t = (2 * m2 + 1 + ma, ma + 1)
+    elif isinstance(target, tuple) and target[0] == "fs":
+        t = (ma + abs(complex(target[1])) * m2,)
+    else:
+        raise ValueError(f"unknown target {target!r}")
+    b = jet.d1 * rad2 / 2
+    return math.prod(tk + b for tk in t)
 
 
 def _scan(jet, target, r1, th1, th2):
     """Max of the target over the lattice, and its witness (i, j, k).
 
     The lattice is w1 = r1[i] e^{i th1[j]}, w2 = (1 - r1[i]^2) e^{i th2[k]}.
-    U(w1) from `_bound` caps every value at a w1 point, so exact values are
-    taken, block by block, only where U can reach the maximum: first at the
-    points of highest U, whose best value L is a lower bound, then at every
-    point with U >= L - margin (see `_SLACK`).  Exact values come from
+    Rows with equal radii hold the same floats, and the witness rule below
+    picks the first of them, so only the first row of each distinct radius
+    is scanned.  The cap M(r) of `_cap` bounds every value at a radius, and
+    U(w1) of `_bound` every value at a w1 point, so exact values are taken,
+    block by block, only where they can reach the maximum: first at the
+    points of highest U on the radius of largest cap, whose best value L is
+    a lower bound; then U is computed only on the radii with
+    M >= L - margin, and exact values only at their points with
+    U >= L - margin (see `_SLACK`).  Exact values come from
     `_target_values` on the same floats a full scan uses, so the maximum and
     witness are those of the full scan: the largest value, then the smallest
     k, then the smallest flat index i * len(th1) + j.
@@ -282,12 +313,6 @@ def _scan(jet, target, r1, th1, th2):
     def points(flat):
         i, j = np.divmod(flat, len(e1))
         return r1[i] * e1[j], rad2[i]
-
-    bound, scale = np.empty(n), np.empty(n)
-    for s in range(0, n, _CHUNK):
-        part = slice(s, min(s + _CHUNK, n))
-        bound[part], scale[part] = _bound(
-            target, jet, *points(np.arange(part.start, part.stop)))
 
     rows = max(1, _CHUNK // len(phase2))
 
@@ -306,8 +331,24 @@ def _scan(jet, target, r1, th1, th2):
                     best, key = float(top), first
         return best, key
 
-    low, _ = exact(np.argpartition(bound, max(n - rows, 0))[-rows:])
-    best, key = exact(np.flatnonzero(bound >= low - _SLACK * scale))
+    radii = np.unique(r1, return_index=True)[1]
+    cap = _cap(target, jet, r1[radii], rad2[radii])
+    top = radii[np.argmax(cap)]
+    bound = _bound(target, jet, r1[top] * e1, rad2[top])
+    phases = np.argpartition(bound, max(len(e1) - rows, 0))[-rows:]
+    low, _ = exact(top * len(e1) + phases)
+
+    margin = low - _SLACK * cap
+    live = cap >= margin
+    radii, margin = radii[live], margin[live]
+    per = max(1, _CHUNK // len(e1))
+    keep = []
+    for s in range(0, len(radii), per):
+        ii = radii[s : s + per]
+        bound = _bound(target, jet, r1[ii, None] * e1, rad2[ii, None])
+        at, j = np.nonzero(bound >= margin[s : s + per, None])
+        keep.append(ii[at] * len(e1) + j)
+    best, key = exact(np.concatenate(keep))
     k, flat = divmod(key, n)
     i, j = divmod(flat, len(e1))
     return best, (i, j, k)
@@ -323,11 +364,13 @@ def oracle_sup(phi: PhiSpec, target, grid: int = 200, refine: bool = True):
     The lattice is grid radii x grid phases of w1 and grid phases of w2,
     with |w2| = 1 - |w1|^2.  Writing b3 = A(w1) + B(w1) u, |u| = 1, each
     target is a product of factors linear in u, which bounds it at each w1
-    by U(w1); w1 points whose U cannot reach the best value found are
-    skipped, and the result is the maximum and witness a scan of every
-    lattice point gives.  One local refinement pass around the best cell
-    removes most of the lattice-resolution bias.  Converges to the sharp
-    bound from below.
+    by U(w1) and on each radius r = |w1| by a cap M(r) >= U.  Radii whose
+    cap, and w1 points whose U, cannot reach the best value found are
+    skipped; radii that repeat (the refinement lattice clips many to 1)
+    are scanned once.  The result is the maximum and witness a scan of
+    every lattice point gives.  One local refinement pass around the best
+    cell removes most of the lattice-resolution bias.  Converges to the
+    sharp bound from below.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}")

@@ -159,10 +159,13 @@ def test_verify_tol_zero_is_honoured(capsys):
     (["bounds", "--family", "starlike", "--fs-lambda", "nan", "inf"], None),
     (["bounds", "--family", "starlike", "--fs-lambda", "0.5", "inf"], None),
     (["verify", "--family", "starlike", "--tol", "inf"], None),
+    (["table", "--sweep", "alpha:0:0.5:1e-300"], None),
+    (["bounds", "--family", "starlike", "--fs-lambda", "1e308"], None),
 ], ids=["tol-neg", "tol-nan", "samples-neg", "seed-neg", "env-seed-abc", "r-zero",
         "r-above-1", "r-not-number", "n-zero", "highdim-samples-neg", "highdim-seed-neg",
         "grid-4", "sweep-short", "sweep-nan-start", "sweep-inf-stop", "sweep-nan-step",
-        "fs-lambda-nan-inf", "fs-lambda-inf", "tol-inf"])
+        "fs-lambda-nan-inf", "fs-lambda-inf", "tol-inf", "sweep-too-many-rows",
+        "fs-lambda-overflow"])
 def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, argv, env_seed):
     if env_seed is not None:
         monkeypatch.setenv("TOEPLITZ_LAB_SEED", env_seed)
@@ -178,7 +181,8 @@ def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, argv, env_seed
     '[[1, 0], [2, 0], [2, 0]]',
     '{"coeffs": [[1, 0], [2, 0], [2, 0]], "inverse": 5}',
     '{"coeffs": [[1, 0], [Infinity, 0], [2, 0]]}',
-], ids=["flat-coeffs", "top-level-list", "inverse-int", "coeff-inf"])
+    '{"coeffs": [[1, 0], [1e80, 0], [1e80, 0]]}',
+], ids=["flat-coeffs", "top-level-list", "inverse-int", "coeff-inf", "bound-overflows"])
 def test_malformed_custom_family_file_is_a_usage_error(tmp_path, capsys, payload):
     path = tmp_path / "phi.json"
     path.write_text(payload)

@@ -261,3 +261,68 @@ def test_flat_maximum_keeps_every_point(monkeypatch):
     r1, th1, _ = lattice
     points = r1[:, None] * np.exp(1j * th1)[None, :]
     assert set(points.ravel()) <= set(evaluated)
+
+
+def scan_work(monkeypatch, jet, target, lattice):
+    """`_scan` on the lattice, with the w1 points it bounded and evaluated."""
+    work = {"bounded": [], "evaluated": []}
+    bound, values = sp._bound, sp._target_values
+
+    def counting_bound(target, jet, w1, rad2):
+        work["bounded"].extend(np.ravel(w1))
+        return bound(target, jet, w1, rad2)
+
+    def counting_values(target, jet, w1, w2):
+        work["evaluated"].extend(np.ravel(w1))
+        return values(target, jet, w1, w2)
+
+    with monkeypatch.context() as m:
+        m.setattr(sp, "_bound", counting_bound)
+        m.setattr(sp, "_target_values", counting_values)
+        got = sp._scan(jet, target, *lattice)
+    return got, work
+
+
+def test_repeated_interior_radii_are_scanned_once(monkeypatch):
+    # rows 5..14 repeat rows 0..4 inside the disk, away from the clip at
+    # r = 1: the witness is the first equal row, and the repeats cost nothing
+    monkeypatch.setattr(sp, "_CHUNK", 50)  # several blocks in both passes
+    radii = np.array([0.9, 0.5, 0.1, 0.7, 0.3])
+    th = full_lattice(17)[1]
+    for phi in SCAN_FAMILIES:
+        jet = tl.jet2(phi)
+        for target in SCAN_TARGETS:
+            assert_scan_equals_reference(jet, target, np.tile(radii, 3), th, th)
+            _, tiled = scan_work(monkeypatch, jet, target, (np.tile(radii, 3), th, th))
+            _, distinct = scan_work(monkeypatch, jet, target, (radii, th, th))
+            assert tiled == distinct, (phi, target)
+
+
+@pytest.mark.parametrize("phi, target, top", [
+    (tl.power(0.2), ("fs", 0.0), 1.0),  # |b3| peaks at w1 = 0
+    (HP, "t22", 0.9),  # radii up to 0.9 put the peak on r = 0.9
+    (tl.janowski(1, -1), "t31", 0.9),
+], ids=["power-fs0-at-0", "starlike-t22-at-0.9", "janowski-t31-at-0.9"])
+def test_cap_keeps_the_interior_radius_of_the_maximum(monkeypatch, phi, target, top):
+    r1, th, _ = full_lattice(17)
+    lattice = (top * r1, th, th)
+    jet = tl.jet2(phi)
+    (value, (i, j, k)), work = scan_work(monkeypatch, jet, target, lattice)
+    assert (value, (i, j, k)) == reference_scan(jet, target, *lattice)
+    assert lattice[0][i] < 1
+    # the cap dropped radii, so the interior one was kept by the cap test
+    assert len({round(abs(w), 9) for w in work["bounded"]}) < len(r1)
+
+
+def test_cap_bounds_every_phase_of_its_radius():
+    # exactly M(r) >= U(r e^{i th}); the floats differ only by rounding,
+    # which `_SLACK` allows for with a far wider margin
+    r1, th, _ = full_lattice(17)
+    rad2 = 1 - r1**2
+    w1 = r1[:, None] * np.exp(1j * th)
+    for phi in SCAN_FAMILIES:
+        jet = tl.jet2(phi)
+        for target in SCAN_TARGETS:
+            cap = sp._cap(target, jet, r1, rad2)[:, None]
+            bound = sp._bound(target, jet, w1, rad2[:, None])
+            assert (bound <= cap * (1 + 10 * np.finfo(float).eps)).all(), (phi, target)
