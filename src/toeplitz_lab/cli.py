@@ -24,7 +24,6 @@ from . import extremal as ex
 from . import highdim as hd
 from . import sampler as sp
 from .phi import InvalidParameters, condition_t22, condition_t31, parse_family
-from .series import Series
 from .toeplitz import jsonable
 
 EXIT_OK = 0
@@ -91,16 +90,13 @@ def cmd_verify(args) -> int:
             print(f"refused: {t} condition does not hold for {phi.label()}",
                   file=sys.stderr)
             return EXIT_REFUSED
-    payload = {}
     try:
-        for t in theorems:
-            rep = sp.montecarlo_verify(phi, args.samples, _seed(args), theorem=t,
+        reports = sp.montecarlo_verify(phi, args.samples, _seed(args), theorem=theorems,
                                        tol=args.tol)
-            payload[t] = rep.to_json_dict()
     except sp.BoundViolated as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    _emit_json(payload, args.out)
+    _emit_json({t: rep.to_json_dict() for t, rep in reports.items()}, args.out)
     return EXIT_OK
 
 
@@ -174,26 +170,22 @@ def cmd_highdim(args) -> int:
     if not all(0 < r < 1 for r in radii):
         raise InvalidParameters(f"--r radii must lie in (0, 1), got {args.r!r}")
     rng = np.random.default_rng(_seed(args))
-    h_ext = hd.extremal_lift(phi)
-    runs = []
+    settings = (hd.POLYDISC, hd.BALL) if args.norm == hd.SUP else (hd.BALL,)
+    axis = np.zeros((len(radii), args.n), dtype=complex)
+    axis[:, 0] = radii
+    u = np.zeros(args.n, dtype=complex)
+    u[0] = 1.0
     try:
-        for r in radii:
-            z_axis = hd.NormedPoint((r,) + (0j,) * (args.n - 1), args.norm)
-            if args.norm == hd.SUP:
-                runs.append(hd.verify_polydisc(phi, h_ext, z_axis).to_json_dict())
-            u = np.zeros(args.n, dtype=complex)
-            u[0] = 1.0
-            runs.append(hd.verify_ball(phi, h_ext, z_axis, direction=u).to_json_dict())
-        words = sp.sample_words(args.samples, int(rng.integers(0, 2**63)))
-        for g in sp.class_members(phi, words):
-            h = hd.lift_from_class_member(Series(g))
-            z = hd.random_interior_point(rng, args.n, args.norm)
-            if args.norm == hd.SUP:
-                runs.append(hd.verify_polydisc(phi, h, z).to_json_dict())
-            runs.append(hd.verify_ball(phi, h, z).to_json_dict())
+        runs = hd.margin_reports(phi, [hd.extremal_lift(phi).coeffs], axis, args.norm,
+                                 settings, direction=u, label="axis point")
+        seed = int(rng.integers(0, 2**63))
+        h = hd.lift_rows(sp.member_rows(phi, args.samples, seed))
+        z = hd.random_points(rng, args.samples, args.n, args.norm)
+        runs += hd.margin_reports(phi, h, z, args.norm, settings)
     except sp.BoundViolated as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    runs = [rep.to_json_dict() for rep in runs]
     _emit_json({"family": phi.label(), "n": args.n, "norm": args.norm,
                 "runs": runs}, args.out)
     return EXIT_OK

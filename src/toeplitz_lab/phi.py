@@ -26,6 +26,12 @@ from .toeplitz import JET_ORDER
 
 JET_TOL = 1e-12
 
+#: largest scale of a custom 2-jet, taken as the largest of d1, |d2|^(1/2)
+#: and |e| = |d2|/(2 d1).  Every value the lab computes from a jet is a
+#: polynomial of degree at most 4 in these with small coefficients, so up
+#: to this scale it stays far inside the float range (about 1.8e308).
+MAX_JET_SCALE = 1e75
+
 
 class InvalidParameters(ValueError):
     pass
@@ -100,6 +106,11 @@ def custom(phi_series: Series, inverse: Series | None = None) -> PhiSpec:
         raise InvalidParameters("custom Phi must have real Phi'(0) > 0")
     if abs(c2.imag) > JET_TOL:
         raise InvalidParameters("custom Phi must have real Phi''(0)")
+    d1, d2 = c1.real, 2 * c2.real
+    if not max(d1, math.sqrt(abs(d2)), abs(d2) / (2 * d1)) <= MAX_JET_SCALE:
+        raise InvalidParameters(
+            f"custom Phi's 2-jet (d1, d2) = ({d1:g}, {d2:g}) is too large for float "
+            f"arithmetic: d1, |d2|^(1/2) and |d2|/(2 d1) must be at most {MAX_JET_SCALE:g}")
     if inverse is not None and abs(inverse.coeffs[0]) > JET_TOL:
         raise InvalidParameters("custom inverse must vanish at w = 1")
     return PhiSpec("custom", (), phi_series, inverse)

@@ -133,15 +133,6 @@ def _class_member_coeffs(phi_coeffs, words: _WordBatch, order: int):
     return se.shift_mul_z_coeffs(se.exp_coeffs(se.integrate_div_t_coeffs(big_g)))
 
 
-def class_members(phi: PhiSpec, words, order: int = JET_ORDER):
-    """``g_from_schwarz(phi, w, order)`` for every word, in one batched pass.
-
-    Returns the coefficients as a complex array of shape (len(words), order+1).
-    """
-    phi_coeffs = np.asarray(phi_series(phi, order).coeffs)
-    return _class_member_coeffs(phi_coeffs, _WordBatch.of(words), order)
-
-
 def omega_series(w: SchwarzWord, order: int = JET_ORDER) -> Series:
     return Series(_omega_coeffs(_WordBatch.of([w]), order)[0])
 
@@ -151,7 +142,8 @@ def g_from_schwarz(phi: PhiSpec, w: SchwarzWord, order: int = JET_ORDER) -> Seri
 
     Construction: g = z exp(integral of (Phi(omega(t)) - 1)/t dt).
     """
-    return Series(class_members(phi, [w], order)[0])
+    phi_coeffs = np.asarray(phi_series(phi, order).coeffs)
+    return Series(_class_member_coeffs(phi_coeffs, _WordBatch.of([w]), order)[0])
 
 
 #: words per block of the batched sampler; bounds memory for any sample count
@@ -186,6 +178,17 @@ def sample_words(count: int, seed: int, max_factors: int = 2) -> list:
     """
     return [b.word(i) for b in _word_blocks(count, seed, max_factors)
             for i in range(len(b.power))]
+
+
+def member_rows(phi: PhiSpec, count: int, seed: int):
+    """(count, JET_ORDER+1) coefficients of the class members of
+    ``sample_words(count, seed)``; row i is built from word i.
+    """
+    phi_coeffs = np.asarray(phi_series(phi).coeffs)
+    rows = [np.zeros((0, JET_ORDER + 1), dtype=complex)]
+    rows += [_class_member_coeffs(phi_coeffs, words, JET_ORDER)
+             for words in _word_blocks(count, seed, 2)]
+    return np.concatenate(rows)
 
 
 def _target_values(target, jet, w1, w2):
@@ -422,59 +425,59 @@ def montecarlo_verify(
     phi: PhiSpec,
     count: int,
     seed: int,
-    theorem: str = "t22",
+    theorem="t22",
     max_factors: int = 2,
     tol: float = SAMPLE_TOL,
-) -> VerificationReport:
-    """Sample class members and assert the requested sharp bound.
+):
+    """Sample class members and assert the requested sharp bounds.
 
-    Each sample's g is built to truncation ``JET_ORDER``, at which (b2, b3)
-    are exact.
+    ``theorem`` is "t22", "t31" or a tuple of them.  A name gets its
+    :class:`VerificationReport`; a tuple gets a dict of reports keyed by
+    name, in the tuple's order, all from one build of each block of class
+    members.  Each sample's g is built to truncation ``JET_ORDER``, at
+    which (b2, b3) are exact.
 
     Raises :class:`BoundViolated` (carrying the offending word) if any
-    sample exceeds bound + tol; a violation is a genuine test failure.
+    sample exceeds bound + tol, for the first theorem in the order given
+    that has such a sample; a violation is a genuine test failure.
     """
-    if theorem == "t22":
-        bound, det = t22_bound(jet2(phi)), det_t22
-        if not condition_t22(phi):
-            raise ValueError("t22 condition does not hold for this family")
-    elif theorem == "t31":
-        bound, det = t31_bound(jet2(phi)), det_t31
-        if not condition_t31(phi):
-            raise ValueError("t31 condition does not hold for this family")
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
+    names = (theorem,) if isinstance(theorem, str) else tuple(theorem)
+    kinds = {"t22": (t22_bound, det_t22, condition_t22),
+             "t31": (t31_bound, det_t31, condition_t31)}
+    reports, cells, counts = {}, {}, {}
+    for name in names:
+        if name not in kinds:
+            raise ValueError(f"unknown theorem {name!r}")
+        bound_of, _, condition = kinds[name]
+        if not condition(phi):
+            raise ValueError(f"{name} condition does not hold for this family")
+        bound = bound_of(jet2(phi))
+        reports[name] = VerificationReport(phi.label(), name, count, seed, bound, 0.0, tol)
+        cells[name] = (0.0, max(bound, 1e-9))
+        counts[name] = np.zeros(HISTOGRAM_BINS, dtype=int)
 
     phi_coeffs = np.asarray(phi_series(phi).coeffs)
-    cells = (0.0, max(bound, 1e-9))
-    counts = np.zeros(HISTOGRAM_BINS, dtype=int)
-    max_observed = 0.0
-    violations = []
     for words in _word_blocks(count, seed, max_factors):
         g = _class_member_coeffs(phi_coeffs, words, JET_ORDER)
-        values = np.abs(det(CoeffJet(g[:, 2], g[:, 3])))
-        max_observed = max(max_observed, float(values.max()))
-        counts += np.histogram(bound - values, bins=HISTOGRAM_BINS, range=cells)[0]
-        for i in np.flatnonzero(values > bound + tol):
-            violations.append({"value": float(values[i]), **jsonable(words.word(i))})
-    rep = VerificationReport(
-        family=phi.label(),
-        theorem=theorem,
-        samples=count,
-        seed=seed,
-        bound=bound,
-        max_observed=max_observed,
-        tol=tol,
-        violations=violations,
-        margin_histogram=_histogram(counts, cells) if count > 0 else [],
-    )
-    if violations:
-        worst = max(violations, key=lambda v: v["value"])
-        raise BoundViolated(
-            f"{phi.label()} {theorem}: observed {worst['value']} > bound {bound}",
-            word=worst,
-        )
-    return rep
+        cj = CoeffJet(g[:, 2], g[:, 3])
+        for name, rep in reports.items():
+            values = np.abs(kinds[name][1](cj))
+            rep.max_observed = max(rep.max_observed, float(values.max()))
+            counts[name] += np.histogram(rep.bound - values, bins=HISTOGRAM_BINS,
+                                         range=cells[name])[0]
+            rep.violations += [{"value": float(values[i]), **jsonable(words.word(i))}
+                               for i in np.flatnonzero(values > rep.bound + tol)]
+    for name, rep in reports.items():
+        if count > 0:
+            rep.margin_histogram = _histogram(counts[name], cells[name])
+    for name, rep in reports.items():
+        if rep.violations:
+            worst = max(rep.violations, key=lambda v: v["value"])
+            raise BoundViolated(
+                f"{phi.label()} {name}: observed {worst['value']} > bound {rep.bound}",
+                word=worst,
+            )
+    return reports[theorem] if isinstance(theorem, str) else reports
 
 
 def _histogram(counts, cells):

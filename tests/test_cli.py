@@ -182,7 +182,10 @@ def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, argv, env_seed
     '{"coeffs": [[1, 0], [2, 0], [2, 0]], "inverse": 5}',
     '{"coeffs": [[1, 0], [Infinity, 0], [2, 0]]}',
     '{"coeffs": [[1, 0], [1e80, 0], [1e80, 0]]}',
-], ids=["flat-coeffs", "top-level-list", "inverse-int", "coeff-inf", "bound-overflows"])
+    '{"coeffs": [[1, 0], [1e200, 0], [1e200, 0]]}',
+    '{"coeffs": [[1, 0], [1e-200, 0], [1e10, 0]]}',
+], ids=["flat-coeffs", "top-level-list", "inverse-int", "coeff-inf", "bound-overflows",
+        "condition-overflows", "jet-ratio-overflows"])
 def test_malformed_custom_family_file_is_a_usage_error(tmp_path, capsys, payload):
     path = tmp_path / "phi.json"
     path.write_text(payload)
@@ -191,6 +194,38 @@ def test_malformed_custom_family_file_is_a_usage_error(tmp_path, capsys, payload
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("usage error:")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("coeff", ["1e80", "1e200"])
+@pytest.mark.parametrize("command", [["verify", "--samples", "100"], ["sharpness", "--grid", "8"],
+                                     ["highdim", "--samples", "5"]],
+                         ids=lambda c: c[0])
+def test_huge_custom_coefficients_are_a_usage_error(tmp_path, capsys, command, coeff):
+    path = tmp_path / "phi.json"
+    path.write_text(f'{{"coeffs": [[1, 0], [{coeff}, 0], [{coeff}, 0]]}}')
+    code = main(command + ["--family", f"custom:{path}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_importing_the_cli_loads_no_numpy_submodule():
+    # the benchmark's set-up time counts every import; numpy.random, say,
+    # should load only when a command first draws
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import toeplitz_lab.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(m for m in added if m.split('.')[0] not in sys.stdlib_module_names\n"
+        "             and m.split('.')[0] != 'toeplitz_lab'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 STARLIKE_BOUNDS = """\

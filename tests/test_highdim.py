@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,114 @@ def test_default_lift_reports_match_order_16():
                     if kind == "sup":
                         assert (tl.verify_polydisc(phi, lo, z).to_json_dict()
                                 == tl.verify_polydisc(phi, hi, z).to_json_dict())
+
+
+BATCH_FAMILIES = (HP, tl.alpha(0.3), tl.power(0.5), tl.janowski(0.8, -0.6))
+
+
+def _batch(phi, n, kind, count=40, seed=66):
+    rng = np.random.default_rng(seed)
+    h = hd.lift_rows(sp.member_rows(phi, count, int(rng.integers(0, 2**63))))
+    return h, hd.random_points(rng, count, n, kind)
+
+
+def _close(got, want):
+    assert got.keys() == want.keys()
+    for key, x in want.items():
+        y = got[key]
+        if isinstance(x, float):
+            assert abs(y - x) <= 1e-12 * max(1.0, abs(x)), (key, y, x)
+        else:
+            assert y == x, key
+
+
+@pytest.mark.parametrize("phi", BATCH_FAMILIES, ids=lambda p: p.label())
+def test_batched_reports_match_one_point_checks(phi):
+    for n in (1, 2, 3, 5):
+        for kind in ("sup", "euclid"):
+            h, z = _batch(phi, n, kind)
+            settings = (hd.POLYDISC, hd.BALL) if kind == "sup" else (hd.BALL,)
+            reports = hd.margin_reports(phi, h, z, kind, settings)
+            assert len(reports) == len(settings) * len(z)
+            for i in range(len(z)):
+                lift, point = tl.Series(h[i]), hd.NormedPoint(tuple(z[i]), kind)
+                one = [tl.verify_ball(phi, lift, point)]
+                if kind == "sup":
+                    one.insert(0, tl.verify_polydisc(phi, lift, point))
+                for got, want in zip(reports[i * len(settings):], one):
+                    _close(got.to_json_dict(), want.to_json_dict())
+
+
+def test_one_bad_row_in_a_batch_is_refused():
+    g = sp.member_rows(HP, 30, 5)
+    h, z = hd.lift_rows(g), hd.random_points(np.random.default_rng(5), 30, 3, "sup")
+    bad_g = g.copy()
+    bad_g[17, 1] = 1.01  # g'(0) != 1
+    with pytest.raises(ValueError, match="normalized"):
+        hd.lift_rows(bad_g)
+    bad_h = h.copy()
+    bad_h[9, 0] = 1.01  # h(0) != 1
+    with pytest.raises(ValueError, match="h\\(0\\) = 1"):
+        hd.margin_reports(HP, bad_h, z, "sup", (hd.BALL,))
+    for scale in (1.0, 2.0, 0.0):
+        bad_z = z.copy()
+        bad_z[11] = bad_z[11] / np.abs(bad_z[11]).max() * scale  # sup norm 1, 2, 0
+        with pytest.raises(ValueError, match="open unit ball"):
+            hd.margin_reports(HP, h, bad_z, "sup", (hd.POLYDISC, hd.BALL))
+    z = hd.random_points(np.random.default_rng(6), 30, 3, "euclid")
+    with pytest.raises(ValueError, match="sup norm"):
+        hd.margin_reports(HP, h, z, "euclid", (hd.POLYDISC,))
+
+
+def test_violation_names_its_row_and_replays(monkeypatch):
+    import re
+
+    monkeypatch.setattr(hd, "t22_bound", lambda jet: 4.0)
+    h, z = _batch(HP, 3, "sup", count=200)
+    with pytest.raises(tl.BoundViolated) as info:
+        hd.margin_reports(HP, h, z, "sup", (hd.POLYDISC, hd.BALL))
+    m = re.fullmatch(r"halfplane ball/sup/n=3 sample (\d+) t22: margin (\S+)", str(info.value))
+    assert m, str(info.value)
+    i, margin = int(m.group(1)), float(m.group(2))
+    assert margin < -hd.MARGIN_TOL
+    # every earlier row passes, and row i alone reproduces the margin
+    hd.margin_reports(HP, h[:i], z[:i], "sup", (hd.POLYDISC, hd.BALL))
+    rep = tl.verify_ball(HP, tl.Series(h[i]), hd.NormedPoint(tuple(z[i]), "sup"), tol=np.inf)
+    assert rep.margin_t22 == margin
+
+
+def _parent_random_interior_point(rng, n, norm_kind):
+    # the one-point draw as it was before the batched kernel, kept as the reference
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    kind_norm = np.max(np.abs(v)) if norm_kind == "sup" else np.linalg.norm(v)
+    r = 0.05 + 0.9 * rng.random()
+    return tuple(complex(c) for c in v / kind_norm * r)
+
+
+def test_random_interior_point_is_the_one_point_draw():
+    for seed in range(40):
+        for n in range(1, 9):
+            for kind in ("sup", "euclid"):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(5):
+                    got = hd.random_interior_point(a, n, kind).coords
+                    assert got == _parent_random_interior_point(b, n, kind)
+                assert a.random() == b.random()  # the same stream is left
+
+
+def test_highdim_sample_i_is_row_i(capsys):
+    from toeplitz_lab.cli import main
+
+    phi, n, count, seed = tl.janowski(0.8, -0.6), 3, 25, 12
+    assert main(["highdim", "--family", "janowski:0.8:-0.6", "--n", str(n), "--r", "0.5",
+                 "--samples", str(count), "--seed", str(seed)]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"][2:]  # past the axis point
+    rng = np.random.default_rng(seed)
+    word_seed = int(rng.integers(0, 2**63))
+    g = sp.member_rows(phi, count, word_seed)
+    z = hd.random_points(rng, count, n, "sup")
+    for i, w in enumerate(sp.sample_words(count, word_seed)):
+        assert np.allclose(g[i], tl.g_from_schwarz(phi, w).coeffs, rtol=0, atol=1e-13)
+        lift, point = hd.lift_from_class_member(tl.Series(g[i])), hd.NormedPoint(tuple(z[i]), "sup")
+        assert runs[2 * i] == tl.verify_polydisc(phi, lift, point).to_json_dict()
+        assert runs[2 * i + 1] == tl.verify_ball(phi, lift, point).to_json_dict()

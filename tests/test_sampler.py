@@ -326,3 +326,43 @@ def test_cap_bounds_every_phase_of_its_radius():
             cap = sp._cap(target, jet, r1, rad2)[:, None]
             bound = sp._bound(target, jet, w1, rad2[:, None])
             assert (bound <= cap * (1 + 10 * np.finfo(float).eps)).all(), (phi, target)
+
+
+@pytest.mark.parametrize("phi", ACCEPTANCE_FAMILIES, ids=lambda p: p.label())
+def test_both_theorems_in_one_pass_match_single_calls(phi):
+    count, seed = 2500, 31  # three blocks, the last one short
+    both = tl.montecarlo_verify(phi, count, seed, theorem=("t22", "t31"))
+    assert list(both) == ["t22", "t31"]
+    for t, rep in both.items():
+        single = tl.montecarlo_verify(phi, count, seed, theorem=t)
+        assert rep.to_json_dict() == single.to_json_dict()
+
+
+def test_both_theorems_build_each_block_once(monkeypatch):
+    calls = []
+    build = sp._class_member_coeffs
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(sp, "_class_member_coeffs", counted)
+    tl.montecarlo_verify(HP, 2 * sp.BLOCK + 5, 3, theorem=("t22", "t31"))
+    assert len(calls) == 3
+    calls.clear()
+    assert main(["verify", "--family", "starlike", "--samples", "100", "--theorem", "both"]) == 0
+    assert len(calls) == 1
+
+
+def test_both_theorems_report_the_t22_violation_first(monkeypatch, capsys):
+    monkeypatch.setattr(sp, "t22_bound", lambda jet: 0.0)
+    monkeypatch.setattr(sp, "t31_bound", lambda jet: 0.0)
+    with pytest.raises(tl.BoundViolated, match="^halfplane t22: observed"):
+        tl.montecarlo_verify(HP, 300, seed=4, theorem=("t22", "t31"))
+    with pytest.raises(tl.BoundViolated, match="^halfplane t31: observed"):
+        tl.montecarlo_verify(HP, 300, seed=4, theorem=("t31", "t22"))
+    assert main(["verify", "--family", "starlike", "--samples", "50"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("violation: halfplane t22: observed")
+    assert captured.err.count("\n") == 1
