@@ -36,6 +36,13 @@ DEFAULT_LAMBDAS = (0.0, 0.5, 1.0, 2.0)
 #: most rows a `table` sweep writes; a longer sweep is refused
 MAX_TABLE_ROWS = 10**6
 
+#: most samples, and most point coordinates (samples + radii) * n, of a
+#: `highdim` run; a larger run is refused before anything is built.  A sample
+#: holds about 5 kB of reports and JSON text and a coordinate about 130 bytes
+#: of margin arrays, so a run at either cap or both peaks under 0.6 GB.
+MAX_HIGHDIM_SAMPLES = 10**5
+MAX_HIGHDIM_COORDS = 4 * 10**6
+
 
 def _emit(text: str, out_path):
     if out_path:
@@ -169,15 +176,17 @@ def cmd_highdim(args) -> int:
         raise InvalidParameters(f"bad radius list {args.r!r}") from None
     if not all(0 < r < 1 for r in radii):
         raise InvalidParameters(f"--r radii must lie in (0, 1), got {args.r!r}")
+    coords = (args.samples + len(radii)) * args.n
+    if args.samples > MAX_HIGHDIM_SAMPLES or coords > MAX_HIGHDIM_COORDS:
+        raise InvalidParameters(f"--samples {args.samples} and --n {args.n} exceed the caps: "
+                                f"{MAX_HIGHDIM_SAMPLES} samples, {MAX_HIGHDIM_COORDS} coordinates")
     rng = np.random.default_rng(_seed(args))
     settings = (hd.POLYDISC, hd.BALL) if args.norm == hd.SUP else (hd.BALL,)
     axis = np.zeros((len(radii), args.n), dtype=complex)
     axis[:, 0] = radii
-    u = np.zeros(args.n, dtype=complex)
-    u[0] = 1.0
     try:
         runs = hd.margin_reports(phi, [hd.extremal_lift(phi).coeffs], axis, args.norm,
-                                 settings, direction=u, label="axis point")
+                                 settings, label="axis point")
         seed = int(rng.integers(0, 2**63))
         h = hd.lift_rows(sp.member_rows(phi, args.samples, seed))
         z = hd.random_points(rng, args.samples, args.n, args.norm)

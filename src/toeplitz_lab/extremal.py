@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from . import series as se
 from .bounds import t22_bound, t31_bound
 from .phi import PhiSpec, condition_t22, condition_t31, jet2, phi_series
+from .sampler import rounding_slack
 from .series import Series
 from .toeplitz import JET_ORDER, coeff_jet, det_t22, det_t31, jsonable
 
@@ -28,8 +29,9 @@ class CertificationFailed(AssertionError):
 def extremal_g(phi: PhiSpec, order: int = JET_ORDER) -> Series:
     """z exp(integral of (Phi(it) - 1)/t dt) as a truncated series."""
     ps = phi_series(phi, order)
-    rotated = Series(tuple(c * (1j**k) for k, c in enumerate(ps.coeffs)))
-    return se.shift_mul_z(se.exp_series(se.integrate_div_t(rotated - 1)))
+    rotated = [c * (1j**k) for k, c in enumerate(ps.coeffs)]
+    rotated[0] -= 1
+    return se.shift_mul_z(se.exp_series(se.integrate_div_t(Series(tuple(rotated)))))
 
 
 @dataclass
@@ -52,8 +54,8 @@ class ExtremalCertificate:
 def certify(phi: PhiSpec) -> ExtremalCertificate:
     """Check that the extremal function attains each applicable bound.
 
-    Raises :class:`CertificationFailed` when a gap exceeds 1e-10 for a
-    bound whose condition holds.
+    Raises :class:`CertificationFailed` when a gap reaches
+    CERT_TOL + `sampler.rounding_slack` for a bound whose condition holds.
     """
     jet = jet2(phi)
     cj = coeff_jet(extremal_g(phi))
@@ -73,11 +75,8 @@ def certify(phi: PhiSpec) -> ExtremalCertificate:
         gap_t31=abs(a31 - b31),
         cond_t31=c31,
     )
-    bad = {}
-    if c22 and cert.gap_t22 >= CERT_TOL:
-        bad["t22"] = cert.gap_t22
-    if c31 and cert.gap_t31 >= CERT_TOL:
-        bad["t31"] = cert.gap_t31
+    bad = {t: gap for t, ok, gap in (("t22", c22, cert.gap_t22), ("t31", c31, cert.gap_t31))
+           if ok and gap >= CERT_TOL + rounding_slack(jet, t)}
     if bad:
         raise CertificationFailed(f"{phi.label()}: gaps {bad}", bad)
     return cert

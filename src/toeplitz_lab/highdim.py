@@ -31,7 +31,7 @@ import numpy as np
 from .bounds import t22_bound, t31_bound
 from .extremal import extremal_g
 from .phi import PhiSpec, condition_t22, condition_t31, jet2
-from .sampler import BoundViolated
+from .sampler import BoundViolated, rounding_slack
 from .series import Series
 from .toeplitz import jsonable
 
@@ -139,13 +139,10 @@ def _ell_rows(z, norm_kind, direction):
     """l(z) for every row of z: the first coordinate, or l_u at u = direction."""
     if direction is None:
         return z[:, 0]
-    u = np.asarray(direction, dtype=complex)
-    if u.shape != (z.shape[-1],):
+    u = np.asarray(direction, dtype=complex)[None]
+    if u.shape != (1, z.shape[-1]):
         raise DimensionMismatch("direction vector dimension mismatch")
-    if norm_kind == SUP:
-        k = int(np.argmax(np.abs(u)))
-        return z[:, k] * np.conj(u[k]) / abs(u[k])
-    return (z * np.conj(u)).sum(-1) / np.linalg.norm(u)
+    return _lz(u, _norms(u, norm_kind), norm_kind, z)
 
 
 def _ell(z: NormedPoint, direction) -> complex:
@@ -242,7 +239,7 @@ def margin_reports(
     setting.  ``direction`` picks l = l_u for the ball setting; the
     polydisc setting, sup norm only, always takes l(z) = z_1.  A bound
     whose condition fails is reported as None.  Raises BoundViolated for a
-    margin below -tol, naming ``label`` and the row of the first one.
+    margin below -(tol + `rounding_slack`), naming ``label`` and its row.
     """
     h = np.asarray(h, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -270,7 +267,7 @@ def margin_reports(
                 columns += [lhs.tolist(), none, none]
         per_setting.append([MarginReport(family, name, *row) for row in zip(*columns)])
     if margins:
-        bad = np.stack([m for _, _, m in margins], -1) < -tol
+        bad = np.stack([m < -(tol + rounding_slack(jet, t)) for _, t, m in margins], -1)
         if bad.any():
             i, k = divmod(int(np.argmax(bad)), len(margins))
             name, t, m = margins[k]

@@ -10,7 +10,8 @@ A :class:`PhiSpec` names one of the built-in families
 
 and exposes the only data the closed-form bounds consume: the 2-jet
 (first and second derivative at 0), plus the two bound-applicability
-predicates and a pointwise inverse for subordination checks.
+predicates and a pointwise inverse for subordination checks.  Each
+built-in family is one record of ``_FAMILIES``; ``custom`` reads its series.
 """
 
 from __future__ import annotations
@@ -60,32 +61,79 @@ class PhiSpec:
     custom_series: Series | None = None
     custom_inverse: Series | None = None
 
+    def __post_init__(self):
+        if self.family != "custom" and self.family not in _FAMILIES:
+            raise InvalidParameters(f"unknown family {self.family!r}")
+
     def label(self) -> str:
         if self.params:
             return self.family + "(" + ", ".join(f"{p:g}" for p in self.params) + ")"
         return self.family
 
 
+@dataclass(frozen=True)
+class _Family:
+    """A built-in family.  Each function takes the family's parameters last."""
+
+    nparams: int
+    valid: object  # (*params) -> bool
+    message: str  # why `valid` failed, formatted with the parameters
+    jet: object  # (*params) -> Jet2, in closed form
+    series: object  # (order, *params) -> Series of Phi at 0 to that order
+    inverse: object  # (w, *params) -> Phi^{-1}(w), vectorized over arrays
+
+
+_FAMILIES = {
+    # (1+z)/(1-z) = 1 + 2z + 2z^2 + ...
+    "halfplane": _Family(
+        0, lambda: True, "",
+        jet=lambda: Jet2(2.0, 4.0),
+        series=lambda order: Series((1.0,) + (2.0,) * order),
+        inverse=lambda w: (w - 1) / (w + 1)),
+    "alpha": _Family(
+        1, lambda a: 0 <= a < 1, "alpha requires 0 <= a < 1, got {}",
+        jet=lambda a: Jet2(2 * (1 - a), 4 * (1 - a)),
+        series=lambda order, a: Series((1.0,) + (2 * (1 - a),) * order),
+        inverse=lambda w, a: (w - 1) / (w + 1 - 2 * a)),
+    # (1+Dz)/(1+Ez) = 1 + (D-E) z - E(D-E) z^2 + E^2 (D-E) z^3 - ...
+    "janowski": _Family(
+        2, lambda d, e: -1 <= e < d <= 1, "janowski requires -1 <= E < D <= 1, got D={}, E={}",
+        jet=lambda d, e: Jet2(d - e, -2 * e * (d - e)),
+        series=lambda order, d, e: Series(
+            (1.0,) + tuple((d - e) * (-e) ** (k - 1) for k in range(1, order + 1))),
+        inverse=lambda w, d, e: (w - 1) / (d - e * w)),
+    "power": _Family(
+        1, lambda g: 0 < g <= 1, "power requires 0 < g <= 1, got {}",
+        jet=lambda g: Jet2(2 * g, 4 * g * g),
+        # exp(g * log((1+z)/(1-z))), log series = 2 sum z^(2k+1)/(2k+1)
+        series=lambda order, g: se.exp_series(
+            Series(tuple(2.0 * g / k if k % 2 else 0j for k in range(order + 1)))),
+        # principal g-th root, consistent with the branch fixed by Phi(0)=1
+        inverse=lambda w, g: ((t := np.exp(np.log(w) / g)) - 1) / (t + 1)),
+}
+
+
+def _built_in(name: str, *params) -> PhiSpec:
+    fam = _FAMILIES[name]
+    if not fam.valid(*params):
+        raise InvalidParameters(fam.message.format(*params))
+    return PhiSpec(name, tuple(float(p) for p in params))
+
+
 def halfplane() -> PhiSpec:
-    return PhiSpec("halfplane")
+    return _built_in("halfplane")
 
 
 def alpha(a: float) -> PhiSpec:
-    if not 0 <= a < 1:
-        raise InvalidParameters(f"alpha requires 0 <= a < 1, got {a}")
-    return PhiSpec("alpha", (float(a),))
+    return _built_in("alpha", a)
 
 
 def janowski(d: float, e: float) -> PhiSpec:
-    if not (-1 <= e < d <= 1):
-        raise InvalidParameters(f"janowski requires -1 <= E < D <= 1, got D={d}, E={e}")
-    return PhiSpec("janowski", (float(d), float(e)))
+    return _built_in("janowski", d, e)
 
 
 def power(g: float) -> PhiSpec:
-    if not 0 < g <= 1:
-        raise InvalidParameters(f"power requires 0 < g <= 1, got {g}")
-    return PhiSpec("power", (float(g),))
+    return _built_in("power", g)
 
 
 def custom(phi_series: Series, inverse: Series | None = None) -> PhiSpec:
@@ -118,48 +166,17 @@ def custom(phi_series: Series, inverse: Series | None = None) -> PhiSpec:
 
 def jet2(phi: PhiSpec) -> Jet2:
     """Closed-form 2-jet for built-in families; series-read for custom."""
-    if phi.family == "halfplane":
-        return Jet2(2.0, 4.0)
-    if phi.family == "alpha":
-        (a,) = phi.params
-        return Jet2(2 * (1 - a), 4 * (1 - a))
-    if phi.family == "janowski":
-        d, e = phi.params
-        return Jet2(d - e, -2 * e * (d - e))
-    if phi.family == "power":
-        (g,) = phi.params
-        return Jet2(2 * g, 4 * g * g)
     if phi.family == "custom":
         c = phi.custom_series.coeffs
         return Jet2(c[1].real, 2 * c[2].real)
-    raise InvalidParameters(f"unknown family {phi.family!r}")
+    return _FAMILIES[phi.family].jet(*phi.params)
 
 
 def phi_series(phi: PhiSpec, order: int = JET_ORDER) -> Series:
     """Taylor series of Phi at 0 to the given order (constant term 1)."""
-    if phi.family == "halfplane":
-        # (1+z)/(1-z) = 1 + 2z + 2z^2 + ...
-        return Series((1.0,) + (2.0,) * order)
-    if phi.family == "alpha":
-        (a,) = phi.params
-        return Series((1.0,) + (2 * (1 - a),) * order)
-    if phi.family == "janowski":
-        d, e = phi.params
-        # (1+Dz)/(1+Ez) = 1 + (D-E) z - E(D-E) z^2 + E^2 (D-E) z^3 - ...
-        c = [1.0 + 0j]
-        for k in range(1, order + 1):
-            c.append((d - e) * (-e) ** (k - 1))
-        return Series(tuple(c))
-    if phi.family == "power":
-        (g,) = phi.params
-        # exp(g * log((1+z)/(1-z))), log series = 2 sum z^(2k+1)/(2k+1)
-        logc = [0j] * (order + 1)
-        for k in range(1, order + 1, 2):
-            logc[k] = 2.0 * g / k
-        return se.exp_series(Series(tuple(logc)))
     if phi.family == "custom":
         return se.from_coeffs(phi.custom_series.coeffs, order)
-    raise InvalidParameters(f"unknown family {phi.family!r}")
+    return _FAMILIES[phi.family].series(order, *phi.params)
 
 
 def condition_t22(phi: PhiSpec) -> bool:
@@ -177,24 +194,11 @@ def condition_t31(phi: PhiSpec) -> bool:
 def inverse_values(phi: PhiSpec, w):
     """Pointwise Phi^{-1}(w), vectorized over numpy arrays."""
     w = np.asarray(w, dtype=complex)
-    if phi.family == "halfplane":
-        return (w - 1) / (w + 1)
-    if phi.family == "alpha":
-        (a,) = phi.params
-        return (w - 1) / (w + 1 - 2 * a)
-    if phi.family == "janowski":
-        d, e = phi.params
-        return (w - 1) / (d - e * w)
-    if phi.family == "power":
-        (g,) = phi.params
-        # principal g-th root, consistent with the branch fixed by Phi(0)=1
-        t = np.exp(np.log(w) / g)
-        return (t - 1) / (t + 1)
     if phi.family == "custom":
         if phi.custom_inverse is None:
             raise NoInverseAvailable("custom Phi has no inverse series")
         return phi.custom_inverse(w - 1)
-    raise InvalidParameters(f"unknown family {phi.family!r}")
+    return _FAMILIES[phi.family].inverse(w, *phi.params)
 
 
 def subordination_check(candidate: Series, phi: PhiSpec, grid: int = 64) -> bool:
@@ -226,15 +230,10 @@ def parse_family(text: str) -> PhiSpec:
     """
     parts = text.split(":")
     name = parts[0].lower()
+    name = "halfplane" if name == "starlike" else name
     try:
-        if name in ("starlike", "halfplane") and len(parts) == 1:
-            return halfplane()
-        if name == "alpha" and len(parts) == 2:
-            return alpha(float(parts[1]))
-        if name == "janowski" and len(parts) == 3:
-            return janowski(float(parts[1]), float(parts[2]))
-        if name == "power" and len(parts) == 2:
-            return power(float(parts[1]))
+        if name in _FAMILIES and len(parts) == 1 + _FAMILIES[name].nparams:
+            return _built_in(name, *map(float, parts[1:]))
         if name == "custom" and len(parts) >= 2:
             import json
 

@@ -197,9 +197,9 @@ def _target_values(target, jet, w1, w2):
     b2sq = b2 * b2
     b3 = (jet.d1 * w2 + (jet.d2 / 2) * w1 * w1 + b2sq) / 2
     if target == "t22":
-        return np.abs(b2sq - b3 * b3)
+        return np.abs(det_t22(CoeffJet(b2, b3)))
     if target == "t31":
-        return np.abs(2 * b2sq * b3 - 2 * b2sq - b3 * b3 + 1)
+        return np.abs(det_t31(CoeffJet(b2, b3)))
     if isinstance(target, tuple) and target[0] == "fs":
         return np.abs(b3 - complex(target[1]) * b2sq)
     raise ValueError(f"unknown target {target!r}")
@@ -291,6 +291,20 @@ def _cap(target, jet, r, rad2):
     return math.prod(tk + b for tk in t)
 
 
+def rounding_slack(jet, target) -> float:
+    """Rounding allowance `_SLACK` M = 256 eps M for a computed |target|.
+
+    M is `_cap` at r = 1 and |w2| <= 1: it bounds |b2|, |b3| and every term
+    of the target over the whole jet body, so it bounds every modulus that a
+    class member's, a lift's (||z|| < 1) or the extremal function's value,
+    or a bound, combines.  The kernels reach b2 and b3 in a few dozen
+    operations, each off by a few eps times such a modulus.  Against 200-bit
+    arithmetic, 3 000 members each of 8 generators with d1 up to 1e6 stayed
+    within 3.4 eps M, and the extremal function and bounds within 0.4 eps M.
+    """
+    return float(_SLACK * _cap(target, jet, 1.0, 1.0))
+
+
 def _scan(jet, target, r1, th1, th2):
     """Max of the target over the lattice, and its witness (i, j, k).
 
@@ -361,7 +375,7 @@ def _scan(jet, target, r1, th1, th2):
 MIN_GRID = 8
 
 
-def oracle_sup(phi: PhiSpec, target, grid: int = 200, refine: bool = True):
+def oracle_sup(phi: PhiSpec, target, grid: int = 200):
     """Supremum of |target| over the Schwarz-Pick 2-jet body by lattice scan.
 
     The lattice is grid radii x grid phases of w1 and grid phases of w2,
@@ -371,32 +385,26 @@ def oracle_sup(phi: PhiSpec, target, grid: int = 200, refine: bool = True):
     cap, and w1 points whose U, cannot reach the best value found are
     skipped; radii that repeat (the refinement lattice clips many to 1)
     are scanned once.  The result is the maximum and witness a scan of
-    every lattice point gives.  One local refinement pass around the best
-    cell removes most of the lattice-resolution bias.  Converges to the
-    sharp bound from below.
+    every lattice point gives.  A second pass scans a lattice one grid step
+    either side of the best cell, which removes most of the
+    lattice-resolution bias.  Converges to the sharp bound from below.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}")
     jet = jet2(phi)
     r1 = np.linspace(0.0, 1.0, grid)
-    th1 = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    th2 = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    best, (i, j, k) = _scan(jet, target, r1, th1, th2)
-
-    w1b = r1[i] * np.exp(1j * th1[j])
-    w2b = (1 - r1[i] ** 2) * np.exp(1j * th2[k])
-    if refine:
-        dr = r1[1] - r1[0]
-        dt = th1[1] - th1[0]
-        fr1 = np.clip(np.linspace(r1[i] - dr, r1[i] + dr, grid), 0.0, 1.0)
-        fth1 = np.linspace(th1[j] - dt, th1[j] + dt, grid)
-        fth2 = np.linspace(th2[k] - dt, th2[k] + dt, grid)
-        fbest, (fi, fj, fk) = _scan(jet, target, fr1, fth1, fth2)
-        if fbest > best:
-            best = fbest
-            w1b = fr1[fi] * np.exp(1j * fth1[fj])
-            w2b = (1 - fr1[fi] ** 2) * np.exp(1j * fth2[fk])
-    return OracleResult(best, JetBodyPoint(complex(w1b), complex(w2b)))
+    th = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    dr, dt = r1[1] - r1[0], th[1] - th[0]
+    lattice, best = (r1, th, th), -1.0
+    for _ in range(2):
+        r, t1, t2 = lattice
+        value, (i, j, k) = _scan(jet, target, r, t1, t2)
+        if value > best:
+            best, w1, w2 = value, r[i] * np.exp(1j * t1[j]), (1 - r[i] ** 2) * np.exp(1j * t2[k])
+        lattice = (np.clip(np.linspace(r[i] - dr, r[i] + dr, grid), 0.0, 1.0),
+                   np.linspace(t1[j] - dt, t1[j] + dt, grid),
+                   np.linspace(t2[k] - dt, t2[k] + dt, grid))
+    return OracleResult(best, JetBodyPoint(complex(w1), complex(w2)))
 
 
 @dataclass
@@ -426,7 +434,6 @@ def montecarlo_verify(
     count: int,
     seed: int,
     theorem="t22",
-    max_factors: int = 2,
     tol: float = SAMPLE_TOL,
 ):
     """Sample class members and assert the requested sharp bounds.
@@ -438,13 +445,13 @@ def montecarlo_verify(
     which (b2, b3) are exact.
 
     Raises :class:`BoundViolated` (carrying the offending word) if any
-    sample exceeds bound + tol, for the first theorem in the order given
-    that has such a sample; a violation is a genuine test failure.
+    sample exceeds bound + tol + `rounding_slack`, for the first theorem in
+    the order given that has one; a violation is a genuine test failure.
     """
     names = (theorem,) if isinstance(theorem, str) else tuple(theorem)
     kinds = {"t22": (t22_bound, det_t22, condition_t22),
              "t31": (t31_bound, det_t31, condition_t31)}
-    reports, cells, counts = {}, {}, {}
+    reports, cells, counts, limits = {}, {}, {}, {}
     for name in names:
         if name not in kinds:
             raise ValueError(f"unknown theorem {name!r}")
@@ -455,9 +462,10 @@ def montecarlo_verify(
         reports[name] = VerificationReport(phi.label(), name, count, seed, bound, 0.0, tol)
         cells[name] = (0.0, max(bound, 1e-9))
         counts[name] = np.zeros(HISTOGRAM_BINS, dtype=int)
+        limits[name] = bound + tol + rounding_slack(jet2(phi), name)
 
     phi_coeffs = np.asarray(phi_series(phi).coeffs)
-    for words in _word_blocks(count, seed, max_factors):
+    for words in _word_blocks(count, seed, 2):
         g = _class_member_coeffs(phi_coeffs, words, JET_ORDER)
         cj = CoeffJet(g[:, 2], g[:, 3])
         for name, rep in reports.items():
@@ -466,7 +474,7 @@ def montecarlo_verify(
             counts[name] += np.histogram(rep.bound - values, bins=HISTOGRAM_BINS,
                                          range=cells[name])[0]
             rep.violations += [{"value": float(values[i]), **jsonable(words.word(i))}
-                               for i in np.flatnonzero(values > rep.bound + tol)]
+                               for i in np.flatnonzero(values > limits[name])]
     for name, rep in reports.items():
         if count > 0:
             rep.margin_histogram = _histogram(counts[name], cells[name])

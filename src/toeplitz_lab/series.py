@@ -3,7 +3,7 @@
 A :class:`Series` holds coefficients c_0..c_N (coefficient of z^k at
 index k) for a fixed truncation order N.  All arithmetic is exact to
 the shared truncation order; coefficients beyond it are never consulted.
-Results of binary operations carry ``order = min`` of the operand orders.
+Results of binary functions carry ``order = min`` of the operand orders.
 
 The arithmetic lives in the ``*_coeffs`` kernels, which act on complex
 arrays of shape (..., N+1): index k of the last axis multiplies z^k and
@@ -68,26 +68,9 @@ class Series:
             return self
         return Series(self.coeffs[: order + 1])
 
-    def __add__(self, other):
-        return add(self, _coerce(other, self.order))
-
-    def __sub__(self, other):
-        o = _coerce(other, self.order)
-        return add(self, Series(tuple(-c for c in o.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return Series(tuple(c * other for c in self.coeffs))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-
-def _coerce(x, order: int) -> Series:
-    if isinstance(x, Series):
-        return x
-    return constant(complex(x), order)
+    def __rmul__(self, scalar):
+        """scalar * series, coefficient by coefficient."""
+        return Series(tuple(scalar * c for c in self.coeffs))
 
 
 def constant(value: complex, order: int) -> Series:

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from toeplitz_lab import cli
+from toeplitz_lab import highdim as hd
+from toeplitz_lab import sampler as sp
 from toeplitz_lab.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -161,11 +164,16 @@ def test_verify_tol_zero_is_honoured(capsys):
     (["verify", "--family", "starlike", "--tol", "inf"], None),
     (["table", "--sweep", "alpha:0:0.5:1e-300"], None),
     (["bounds", "--family", "starlike", "--fs-lambda", "1e308"], None),
+    (["bounds", "--family", "alpha"], None),
+    (["bounds", "--family", "janowski:0.5"], None),
+    (["bounds", "--family", "power:0.5:1"], None),
+    (["bounds", "--family", "halfplane:1"], None),
 ], ids=["tol-neg", "tol-nan", "samples-neg", "seed-neg", "env-seed-abc", "r-zero",
         "r-above-1", "r-not-number", "n-zero", "highdim-samples-neg", "highdim-seed-neg",
         "grid-4", "sweep-short", "sweep-nan-start", "sweep-inf-stop", "sweep-nan-step",
         "fs-lambda-nan-inf", "fs-lambda-inf", "tol-inf", "sweep-too-many-rows",
-        "fs-lambda-overflow"])
+        "fs-lambda-overflow", "alpha-no-param", "janowski-one-param", "power-two-params",
+        "halfplane-one-param"])
 def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, argv, env_seed):
     if env_seed is not None:
         monkeypatch.setenv("TOEPLITZ_LAB_SEED", env_seed)
@@ -208,6 +216,67 @@ def test_huge_custom_coefficients_are_a_usage_error(tmp_path, capsys, command, c
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("usage error:")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("size", [["--n", "1000000000", "--samples", "1"],
+                                  ["--samples", "1000000000"],
+                                  ["--n", "400", "--samples", "10000"]],
+                         ids=["n-1e9", "samples-1e9", "coords-over-cap"])
+def test_oversized_highdim_is_refused_before_anything_is_built(capsys, monkeypatch, size):
+    monkeypatch.setattr(cli, "np", None)  # any array the command built would raise
+    code = main(["highdim", "--family", "starlike", *size])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+
+def test_highdim_scaled_example_is_within_the_caps(tmp_path):
+    out = tmp_path / "runs.json"
+    assert main(["highdim", "--family", "starlike", "--n", "50", "--samples", "10000",
+                 "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["runs"]) == 2 * (10000 + 3)
+
+
+def custom_jet(tmp_path, d):
+    """A custom generator file with Phi'(0) = d and Phi''(0) = 2 d."""
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"coeffs": [[1, 0], [d, 0], [d, 0]]}))
+    return f"custom:{path}"
+
+
+@pytest.mark.parametrize("d, command", [
+    (100, ["highdim", "--n", "3"]),
+    (100, ["highdim", "--n", "2", "--norm", "euclid"]),
+    (1e4, ["highdim", "--n", "3"]),
+    (1e4, ["highdim", "--n", "2", "--norm", "euclid"]),
+    (1e6, ["highdim", "--n", "3"]),
+    (1e6, ["verify"]),
+    (1e8, ["sharpness", "--grid", "8"]),
+], ids=["highdim-1e2", "highdim-euclid-1e2", "highdim-1e4", "highdim-euclid-1e4",
+        "highdim-1e6", "verify-1e6", "sharpness-1e8"])
+def test_large_jets_pass_their_own_equality_cases(tmp_path, capsys, d, command):
+    # each of these failed by 1-2 ulps of the compared value against an
+    # absolute tolerance
+    code = main(command + ["--family", custom_jet(tmp_path, d), "--seed", "7"])
+    assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 1e6])
+def test_patched_low_bound_still_raises_at_any_jet_scale(tmp_path, capsys, monkeypatch, d):
+    family = custom_jet(tmp_path, d)
+    verify = ["verify", "--family", family, "--theorem", "t22", "--samples", "2000"]
+    code, out = run(capsys, *verify)
+    top = json.loads(out)["t22"]["max_observed"]
+    # below the largest sample by the tolerance plus a relative 1e-9
+    monkeypatch.setattr(sp, "t22_bound", lambda jet: top * (1 - 1e-9) - sp.SAMPLE_TOL)
+    assert code == 0 and main(verify) == 3
+    assert capsys.readouterr().err.startswith("violation: custom t22")
+    # the extremal lift attains the ball bound at every axis point
+    bound = hd.t22_bound
+    monkeypatch.setattr(hd, "t22_bound",
+                        lambda jet: bound(jet) * (1 - 1e-9) - hd.MARGIN_TOL)
+    assert main(["highdim", "--family", family, "--samples", "5"]) == 3
+    assert capsys.readouterr().err.startswith("violation: custom ball/sup/n=2 axis point 0 t22")
 
 
 def test_importing_the_cli_loads_no_numpy_submodule():
@@ -253,9 +322,118 @@ STARLIKE_BOUNDS = """\
 """
 
 
-def test_bounds_output_is_pinned(capsys):
-    code, out = run(capsys, "bounds", "--family", "starlike", "--fs-lambda", "0", "0.5")
-    assert code == 0 and out == STARLIKE_BOUNDS
+ALPHA_03_BOUNDS = """\
+{
+  "cond_t22": true,
+  "cond_t31": true,
+  "d1": 1.4,
+  "d2": 2.8,
+  "family": "alpha(0.3)",
+  "fs": [
+    {
+      "bound": 1.68,
+      "lambda_im": 0.0,
+      "lambda_re": 0.0
+    },
+    {
+      "bound": 0.7,
+      "lambda_im": 0.0,
+      "lambda_re": 0.5
+    }
+  ],
+  "t22": 4.782399999999999,
+  "t31": 8.6832
+}
+"""
+
+
+JANOWSKI_BOUNDS = """\
+{
+  "cond_t22": true,
+  "cond_t31": true,
+  "d1": 1.4,
+  "d2": 1.68,
+  "family": "janowski(0.8, -0.6)",
+  "fs": [
+    {
+      "bound": 1.4,
+      "lambda_im": 0.0,
+      "lambda_re": 0.0
+    },
+    {
+      "bound": 0.7,
+      "lambda_im": 0.0,
+      "lambda_re": 0.5
+    }
+  ],
+  "t22": 3.9199999999999995,
+  "t31": 8.447999999999999
+}
+"""
+
+
+POWER_05_BOUNDS = """\
+{
+  "cond_t22": true,
+  "cond_t31": true,
+  "d1": 1.0,
+  "d2": 1.0,
+  "family": "power(0.5)",
+  "fs": [
+    {
+      "bound": 0.75,
+      "lambda_im": 0.0,
+      "lambda_re": 0.0
+    },
+    {
+      "bound": 0.5,
+      "lambda_im": 0.0,
+      "lambda_re": 0.5
+    }
+  ],
+  "t22": 1.5625,
+  "t31": 3.9375
+}
+"""
+
+
+POWER_025_BOUNDS = """\
+{
+  "cond_t22": false,
+  "cond_t31": false,
+  "d1": 0.5,
+  "d2": 0.25,
+  "family": "power(0.25)",
+  "fs": [
+    {
+      "bound": 0.25,
+      "lambda_im": 0.0,
+      "lambda_re": 0.0
+    },
+    {
+      "bound": 0.25,
+      "lambda_im": 0.0,
+      "lambda_re": 0.5
+    }
+  ],
+  "t22": null,
+  "t31": null
+}
+"""
+
+
+# the bounds are pure-Python float arithmetic on the closed-form 2-jet, so the
+# printed d1 and d2 pin every family's jet to the bit on any CPU
+@pytest.mark.parametrize("family, expected", [
+    ("starlike", STARLIKE_BOUNDS),
+    ("alpha:0.3", ALPHA_03_BOUNDS),
+    ("janowski:0.8:-0.6", JANOWSKI_BOUNDS),
+    ("power:0.5", POWER_05_BOUNDS),
+    ("power:0.25", POWER_025_BOUNDS),
+], ids=["starlike", "alpha-0.3", "janowski-0.8--0.6", "power-0.5", "power-0.25"])
+def test_bounds_output_is_pinned(capsys, family, expected):
+    code, out = run(capsys, "bounds", "--family", family, "--fs-lambda", "0", "0.5")
+    assert code == 0 and out == expected
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify", "sharpness", "highdim"])
